@@ -162,12 +162,13 @@ where
 /// A demonstration point for the binary: the largest machines the
 /// analytical model handles interactively (far beyond netsim's reach).
 pub fn large_instance_demo() -> Vec<(XgftSpec, FlowScheme)> {
+    let half_slimmed = XgftSpec::new(vec![128, 128], vec![1, 64]).expect("valid");
     vec![
         // 16 384 leaves, half-slimmed two-level tree.
-        (
-            XgftSpec::new(vec![128, 128], vec![1, 64]).expect("valid"),
-            FlowScheme::Random,
-        ),
+        (half_slimmed.clone(), FlowScheme::Random),
+        // The same machine under D-mod-k: the mod-k closed form counts guide
+        // leaves per channel instead of walking ~2.7e8 pairs.
+        (half_slimmed, FlowScheme::DModK),
         // 32 768 leaves, full 32-ary 3-tree.
         (XgftSpec::k_ary_n_tree(32, 3), FlowScheme::RNcaDown),
     ]

@@ -29,6 +29,7 @@
 
 use crate::compiled::{CompiledRouteTable, PatchStats};
 use crate::degraded::{node_index, reroute};
+use crate::modk::mod_k_port;
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
 use crate::table::RouteTable;
@@ -663,19 +664,7 @@ fn nca_level(s_digits: &[usize], d_digits: &[usize]) -> usize {
 /// The mod-k up-port sequence guided by the given digits (the digit-vector
 /// form of `modk::mod_route`).
 fn mod_ports(spec: &xgft_topo::XgftSpec, digits: &[usize], level: usize) -> Vec<usize> {
-    (0..level)
-        .map(|l| {
-            if l == 0 {
-                if spec.w(1) == 1 {
-                    0
-                } else {
-                    digits[0] % spec.w(1)
-                }
-            } else {
-                digits[l - 1] % spec.w(l + 1)
-            }
-        })
-        .collect()
+    (0..level).map(|l| mod_k_port(spec, digits, l)).collect()
 }
 
 /// The r-NCA up-port sequence guided by the given digits (the digit-vector
@@ -689,11 +678,7 @@ fn relabel_ports(
     (0..level)
         .map(|l| {
             if l == 0 {
-                if spec.w(1) == 1 {
-                    0
-                } else {
-                    digits[0] % spec.w(1)
-                }
+                mod_k_port(spec, digits, 0)
             } else {
                 maps.port_for_digits(digits, l)
             }

@@ -63,7 +63,7 @@ pub use compiled::{CompiledRouteTable, PatchStats, UndoableTable};
 pub use contention::{ChannelLoads, ContentionReport};
 pub use degraded::{degraded_route, reroute, RoutingError};
 pub use distribution::nca_route_distribution;
-pub use modk::{DModK, SModK};
+pub use modk::{mod_k_port, DModK, ModKGuide, SModK};
 pub use random::RandomRouting;
 pub use relabel::RelabelMaps;
 pub use rnca::{RandomNcaDown, RandomNcaUp};

@@ -23,28 +23,40 @@
 
 use crate::algorithm::RoutingAlgorithm;
 use crate::route_dist::RouteDistribution;
-use xgft_topo::{Route, Xgft};
+use xgft_topo::{Route, Xgft, XgftSpec};
+
+/// The mod-k up-port a route guided by the leaf with label `digits`
+/// (least-significant first) takes at ascent level `l` — the hop from level
+/// `l` into level `l + 1`: `X_l mod w_{l+1}`.
+///
+/// The leaf's adapter hop (`l = 0`) has a single parent in every k-ary-like
+/// tree (`w_1 = 1`, so the port is 0); a multi-ported leaf spreads it by its
+/// low digit. This is the one place the mod-k digit arithmetic lives: the
+/// routers, the compact closed form and the flow model's uniform-traffic
+/// closed form all call it.
+pub fn mod_k_port(spec: &XgftSpec, digits: &[usize], l: usize) -> usize {
+    digits[l.saturating_sub(1)] % spec.w(l + 1)
+}
 
 /// Compute the mod-k up-port sequence guided by `guide_leaf`, climbing to
 /// `level`.
 pub(crate) fn mod_route(xgft: &Xgft, guide_leaf: usize, level: usize) -> Route {
-    let spec = xgft.spec();
-    let ports = (0..level)
-        .map(|l| {
-            if l == 0 {
-                // The leaf's adapter hop: a single parent in every k-ary-like
-                // tree; spread by the low digit if the leaf is multi-ported.
-                if spec.w(1) == 1 {
-                    0
-                } else {
-                    xgft.leaf_digit(guide_leaf, 1) % spec.w(1)
-                }
-            } else {
-                xgft.leaf_digit(guide_leaf, l) % spec.w(l + 1)
-            }
-        })
-        .collect();
-    Route::new(ports)
+    let digits = xgft.leaf_digits(guide_leaf);
+    Route::new(
+        (0..level)
+            .map(|l| mod_k_port(xgft.spec(), digits, l))
+            .collect(),
+    )
+}
+
+/// The endpoint whose label alone fixes a mod-k scheme's ascent: the source
+/// for S-mod-k, the destination for D-mod-k.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModKGuide {
+    /// The ascent follows the source's digits (S-mod-k).
+    Source,
+    /// The ascent follows the destination's digits (D-mod-k).
+    Destination,
 }
 
 /// Source-mod-k routing: the ascent is determined by the source label alone.
@@ -69,7 +81,11 @@ impl RoutingAlgorithm for SModK {
 }
 
 /// Deterministic: the default point-mass route distribution is exact.
-impl RouteDistribution for SModK {}
+impl RouteDistribution for SModK {
+    fn mod_k_guide(&self) -> Option<ModKGuide> {
+        Some(ModKGuide::Source)
+    }
+}
 
 /// Destination-mod-k routing: the ascent (and hence the NCA) is determined
 /// by the destination label alone, so the descent to each destination is
@@ -95,12 +111,15 @@ impl RoutingAlgorithm for DModK {
 }
 
 /// Deterministic: the default point-mass route distribution is exact.
-impl RouteDistribution for DModK {}
+impl RouteDistribution for DModK {
+    fn mod_k_guide(&self) -> Option<ModKGuide> {
+        Some(ModKGuide::Destination)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xgft_topo::XgftSpec;
 
     #[test]
     fn s_mod_k_matches_classic_formula_on_k_ary_n_tree() {

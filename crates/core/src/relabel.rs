@@ -17,6 +17,7 @@
 //! With the maps fixed to `c ↦ c mod w_{i+1}` the machinery reproduces
 //! S-mod-k / D-mod-k exactly, which is used as a cross-check in the tests.
 
+use crate::modk::mod_k_port;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -168,11 +169,7 @@ impl RelabelMaps {
         (0..level)
             .map(|l| {
                 if l == 0 {
-                    if self.spec.w(1) == 1 {
-                        0
-                    } else {
-                        xgft.leaf_digit(leaf, 1) % self.spec.w(1)
-                    }
+                    mod_k_port(&self.spec, xgft.leaf_digits(leaf), 0)
                 } else {
                     self.port_at(xgft, leaf, l)
                 }

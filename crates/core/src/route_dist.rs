@@ -33,6 +33,7 @@
 //!   expected loads even though individual draws are far better balanced.
 
 use crate::algorithm::RoutingAlgorithm;
+use crate::modk::ModKGuide;
 use xgft_topo::{Route, Xgft};
 
 /// A product-form probability distribution over the minimal routes of one
@@ -174,6 +175,16 @@ pub trait RouteDistribution: RoutingAlgorithm {
     fn pair_invariant_levels(&self, _xgft: &Xgft) -> Option<Vec<Vec<f64>>> {
         None
     }
+
+    /// For schemes whose ascent is the mod-k port sequence
+    /// ([`crate::modk::mod_k_port`]) of one endpoint's label alone: which
+    /// endpoint guides it. `None` (the default) for every other scheme.
+    /// `xgft-flow` uses this hook for its `O(n·h + channels)` uniform-traffic
+    /// closed form, which counts guide leaves per channel instead of
+    /// enumerating pairs.
+    fn mod_k_guide(&self) -> Option<ModKGuide> {
+        None
+    }
 }
 
 impl<T: RouteDistribution + ?Sized> RouteDistribution for &T {
@@ -183,6 +194,9 @@ impl<T: RouteDistribution + ?Sized> RouteDistribution for &T {
     fn pair_invariant_levels(&self, xgft: &Xgft) -> Option<Vec<Vec<f64>>> {
         (**self).pair_invariant_levels(xgft)
     }
+    fn mod_k_guide(&self) -> Option<ModKGuide> {
+        (**self).mod_k_guide()
+    }
 }
 
 impl<T: RouteDistribution + ?Sized> RouteDistribution for Box<T> {
@@ -191,6 +205,9 @@ impl<T: RouteDistribution + ?Sized> RouteDistribution for Box<T> {
     }
     fn pair_invariant_levels(&self, xgft: &Xgft) -> Option<Vec<Vec<f64>>> {
         (**self).pair_invariant_levels(xgft)
+    }
+    fn mod_k_guide(&self) -> Option<ModKGuide> {
+        (**self).mod_k_guide()
     }
 }
 
@@ -265,6 +282,18 @@ mod tests {
         assert_eq!(rnca, Some(levels));
         // Deterministic schemes depend on the pair.
         assert!(DModK::new().pair_invariant_levels(&xgft).is_none());
+    }
+
+    #[test]
+    fn mod_k_guides_name_the_guiding_endpoint() {
+        assert_eq!(SModK::new().mod_k_guide(), Some(ModKGuide::Source));
+        assert_eq!(DModK::new().mod_k_guide(), Some(ModKGuide::Destination));
+        let xgft = two_level(10);
+        assert_eq!(RandomRouting::new(1).mod_k_guide(), None);
+        assert_eq!(RandomNcaDown::new(&xgft, 1).mod_k_guide(), None);
+        // The hook forwards through boxes like the other two.
+        let boxed: Box<dyn RouteDistribution> = Box::new(DModK::new());
+        assert_eq!(boxed.mod_k_guide(), Some(ModKGuide::Destination));
     }
 
     #[test]

@@ -30,9 +30,11 @@
 //! Expected channel loads are linear in these route probabilities
 //! ([`ExpectedLoads`]), so a single exact computation replaces the entire
 //! seed sweep. On uniform all-pairs traffic the computation collapses
-//! further, to `O(channels)` independent of the pair count — machines with
-//! tens of thousands of leaves are analysed in milliseconds, far beyond
-//! netsim's reach.
+//! further: to `O(channels)` independent of the pair count for Random and
+//! r-NCA, and to `O(n · h + channels)` for S-mod-k and D-mod-k, whose
+//! ascent depends on one endpoint's label alone — machines with tens of
+//! thousands of leaves are analysed in milliseconds, far beyond netsim's
+//! reach.
 //!
 //! ## What's in the crate
 //!

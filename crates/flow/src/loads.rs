@@ -17,15 +17,17 @@
 //! level `j` is uniquely determined by the destination and the route's first
 //! `j` ports).
 //!
-//! Two computation paths exist:
+//! Three computation paths exist:
 //!
 //! * **Explicit flows** — one frontier walk per flow; exact for every
 //!   scheme, including deterministic ones (point distributions degenerate to
-//!   the plain path walk).
-//! * **Uniform all-pairs closed form** — for schemes whose distribution is
-//!   pair-invariant (Random, and the r-NCA family's seed marginal), the
-//!   all-pairs sum collapses level-wise: a channel at level `l` with low
-//!   node `v` and port `p` carries
+//!   the plain path walk). Uniform traffic under a scheme neither closed
+//!   form covers (Colored) enumerates all `n(n−1)` pairs this way; the
+//!   `flow.loads.enumerated_pairs` counter records how many flows it walked.
+//! * **Uniform all-pairs, pair-invariant closed form** — for schemes whose
+//!   distribution is pair-invariant (Random, and the r-NCA family's seed
+//!   marginal), the all-pairs sum collapses level-wise: a channel at level
+//!   `l` with low node `v` and port `p` carries
 //!
 //!   ```text
 //!       G(l) · A(l) · Π_{j≤l} q_j[v_j] · q_{l+1}[p]
@@ -37,9 +39,33 @@
 //!   per-level port distributions. This is `O(channels · h)` — independent
 //!   of the number of pairs — which is what makes tens-of-thousands-of-leaf
 //!   machines analysable in well under a second.
+//! * **Uniform all-pairs, mod-k closed form** — for S-mod-k and D-mod-k,
+//!   whose ascent is a function of one endpoint's (the *guide's*) label
+//!   alone ([`xgft_core::RouteDistribution::mod_k_guide`]). Let `C_l[v][p]`
+//!   count the guide leaves whose own ascent crosses channel `(l, v, p)`,
+//!   and `S_l[σ][p]` sum `C_l` over the level-`l` nodes sharing `v`'s W
+//!   digits `σ = v mod Π_{j≤l} w_j`. With `n` leaves and weight `w` per
+//!   pair, the guided direction (Down for D-mod-k, Up for S-mod-k) carries
+//!
+//!   ```text
+//!       w · (n − G(l)) · C_l[v][p]
+//!   ```
+//!
+//!   (every partner outside the guide's `G(l)`-leaf subtree climbs past
+//!   `l`), and the other direction carries
+//!
+//!   ```text
+//!       w · G(l) · (S_l[σ][p] − C_l[v][p])
+//!   ```
+//!
+//!   (each of the `G(l)` leaves below `v`'s M digits pairs with every guide
+//!   that reaches the same W digits from outside that subtree). One pass
+//!   over the leaves per level fills `C_l`, so the cost is
+//!   `O(n · h + channels)`. The counts are integers, so at unit weight the
+//!   loads are bit-identical to pair enumeration.
 
 use crate::traffic::TrafficMatrix;
-use xgft_core::{RouteDist, RouteDistribution};
+use xgft_core::{mod_k_port, ModKGuide, RouteDist, RouteDistribution};
 use xgft_topo::{ChannelId, Direction, NodeLabel, Xgft, XgftSpec};
 
 /// The expected load of every directed channel, indexed by the dense
@@ -110,11 +136,13 @@ impl ExpectedLoads {
     /// Compute the expected load of every channel for `algo` under
     /// `traffic`.
     ///
-    /// Uniform all-pairs traffic uses the `O(channels · h)` closed form when
-    /// the scheme offers pair-invariant level distributions, and otherwise
-    /// falls back to enumerating all `n(n−1)` ordered pairs (exact but
-    /// quadratic — fine for the ≤ few-thousand-leaf instances deterministic
-    /// schemes are cross-validated on).
+    /// Uniform all-pairs traffic uses a closed form when the scheme offers
+    /// one: the `O(channels · h)` pair-invariant form (Random, r-NCA) or the
+    /// `O(n · h + channels)` mod-k form (S-mod-k, D-mod-k). Everything else
+    /// — explicit flows, and uniform traffic under Colored — walks every
+    /// flow (for uniform traffic all `n(n−1)` ordered pairs: exact but
+    /// quadratic) and adds the number walked to the
+    /// `flow.loads.enumerated_pairs` counter. See the module docs.
     pub fn compute<A: RouteDistribution + ?Sized>(
         xgft: &Xgft,
         algo: &A,
@@ -127,17 +155,27 @@ impl ExpectedLoads {
             "traffic matrix and topology disagree on the number of leaves"
         );
         let mut loads = vec![0.0; xgft.channels().len()];
-        let closed_form = traffic.uniform_weight().and_then(|weight| {
-            algo.pair_invariant_levels(xgft)
-                .map(|levels| (weight, levels))
-        });
-        match closed_form {
-            Some((weight, levels)) => closed_form_uniform(xgft, &levels, weight, &mut loads),
-            None => traffic.for_each_flow(|s, d, w| {
-                let dist = algo.route_dist(xgft, s, d);
-                accumulate_tower(xgft, s, &dist, w, Direction::Up, &mut loads);
-                accumulate_tower(xgft, d, &dist, w, Direction::Down, &mut loads);
-            }),
+        match (
+            traffic.uniform_weight(),
+            algo.pair_invariant_levels(xgft),
+            algo.mod_k_guide(),
+        ) {
+            (Some(weight), Some(levels), _) => {
+                closed_form_uniform(xgft, &levels, weight, &mut loads)
+            }
+            (Some(weight), None, Some(guide)) => mod_k_uniform(xgft, guide, weight, &mut loads),
+            _ => {
+                let mut walked = 0u64;
+                traffic.for_each_flow(|s, d, w| {
+                    let dist = algo.route_dist(xgft, s, d);
+                    accumulate_tower(xgft, s, &dist, w, Direction::Up, &mut loads);
+                    accumulate_tower(xgft, d, &dist, w, Direction::Down, &mut loads);
+                    walked += 1;
+                });
+                xgft_obs::global()
+                    .counter("flow.loads.enumerated_pairs")
+                    .add(walked);
+            }
         }
         ExpectedLoads { loads }
     }
@@ -241,6 +279,58 @@ fn closed_form_uniform(xgft: &Xgft, levels: &[Vec<f64>], weight: f64, loads: &mu
             }
         }
         leaves_below *= spec.m(l + 1) as f64;
+    }
+}
+
+/// The uniform-all-pairs closed form for the mod-k schemes (see the module
+/// docs for the formula): per level, count the guide leaves crossing each
+/// channel (`C_l`) and their sums over nodes sharing W digits (`S_l`).
+fn mod_k_uniform(xgft: &Xgft, guide: ModKGuide, weight: f64, loads: &mut [f64]) {
+    let spec = xgft.spec();
+    let n = xgft.num_leaves();
+    let channels = xgft.channels();
+    let (guided, other) = match guide {
+        ModKGuide::Source => (Direction::Up, Direction::Down),
+        ModKGuide::Destination => (Direction::Down, Direction::Up),
+    };
+    // tower[g]: the index of the level-`l` node on leaf g's own ascent.
+    let mut tower: Vec<usize> = (0..n).collect();
+    let mut leaves_below = 1usize; // G(l) = Π_{j≤l} m_j
+    let mut w_low = 1usize; // Π_{j≤l} w_j: the radix of a level-l node's W digits
+    for l in 0..spec.height() {
+        let (m_next, w_next) = (spec.m(l + 1), spec.w(l + 1));
+        // count[v·w_next + p] = C_l[v][p], the cable order of the channel table.
+        let mut count = vec![0usize; spec.nodes_at_level(l) * w_next];
+        for (g, v) in tower.iter_mut().enumerate() {
+            let port = mod_k_port(spec, xgft.leaf_digits(g), l);
+            count[*v * w_next + port] += 1;
+            // Climb: position l+1 turns from the M digit into the port.
+            let (low, high) = (*v % w_low, *v / w_low / m_next);
+            *v = low + w_low * (port + w_next * high);
+        }
+        // S_l[σ][p] sits at cable mod (w_low · w_next): σ = v mod w_low.
+        let sigs = w_low * w_next;
+        let mut sig_sum = vec![0usize; sigs];
+        for (cable, &c) in count.iter().enumerate() {
+            sig_sum[cable % sigs] += c;
+        }
+        for (cable, &c) in count.iter().enumerate() {
+            let others = sig_sum[cable % sigs] - c;
+            for (dir, pairs) in [
+                (guided, (n - leaves_below) * c),
+                (other, leaves_below * others),
+            ] {
+                let idx = channels.index(&ChannelId {
+                    level: l,
+                    low_index: cable / w_next,
+                    up_port: cable % w_next,
+                    dir,
+                });
+                loads[idx] = weight * pairs as f64;
+            }
+        }
+        leaves_below *= m_next;
+        w_low *= w_next;
     }
 }
 
@@ -391,18 +481,48 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_uniform_fallback_is_exact() {
-        // D-mod-k has no pair-invariant form; the quadratic fallback must
-        // agree with route expansion.
-        let xgft = Xgft::k_ary_n_tree(4, 2);
-        let traffic = TrafficMatrix::uniform(16);
-        let fast = ExpectedLoads::compute(&xgft, &DModK::new(), &traffic);
-        let reference = loads_by_expansion(&xgft, &DModK::new(), &traffic);
-        assert_close(fast.loads(), &reference);
-        // All loads are integral for a deterministic scheme on unit weights.
-        for &l in fast.loads() {
-            assert!((l - l.round()).abs() < 1e-9);
+    fn mod_k_uniform_closed_form_is_exact() {
+        // S-mod-k and D-mod-k take the per-guide counting closed form; it
+        // must agree bit for bit with route expansion at unit weight, on
+        // single- and multi-ported leaves and on two- to four-level trees.
+        for xgft in [
+            Xgft::k_ary_n_tree(4, 2),
+            two_level(10),
+            Xgft::new(XgftSpec::new(vec![5, 5, 3], vec![3, 4, 2]).unwrap()).unwrap(),
+            Xgft::new(XgftSpec::new(vec![2, 3, 2, 2], vec![2, 2, 3, 1]).unwrap()).unwrap(),
+        ] {
+            let n = xgft.num_leaves();
+            for algo in [&SModK::new() as &dyn RouteDistribution, &DModK::new()] {
+                let closed = ExpectedLoads::compute(&xgft, algo, &TrafficMatrix::uniform(n));
+                let reference = loads_by_expansion(&xgft, algo, &TrafficMatrix::uniform(n));
+                assert_eq!(
+                    closed.loads(),
+                    &reference[..],
+                    "{} {}",
+                    xgft.spec(),
+                    algo.name()
+                );
+                // A non-dyadic weight scales every count; enumeration's
+                // repeated additions round differently, so compare within a
+                // relative tolerance.
+                let weighted = TrafficMatrix::uniform_weighted(n, 0.3);
+                let closed = ExpectedLoads::compute(&xgft, algo, &weighted);
+                for (x, y) in closed.loads().iter().zip(&reference) {
+                    assert!((x - 0.3 * y).abs() <= 1e-9 * y.abs(), "{x} vs 0.3 x {y}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn explicit_flows_count_as_enumerated_pairs() {
+        let xgft = two_level(4);
+        let counter = xgft_obs::global().counter("flow.loads.enumerated_pairs");
+        let flows = TrafficMatrix::from_flows(256, vec![(0, 5, 1.0), (0, 100, 1.0)]);
+        let before = counter.get();
+        let _ = ExpectedLoads::compute(&xgft, &DModK::new(), &flows);
+        // Other tests run concurrently and may add too: at least ours.
+        assert!(counter.get() >= before + 2);
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! simulation per (topology, scheme, seed) — capping practical machine
 //! sizes at a few hundred leaves — the flow-level sweep computes exact
 //! expected loads per (topology, scheme) point, with no seed axis at all:
-//! randomised schemes contribute their closed-form distribution. One point
-//! on a 16 384-leaf machine costs well under a second, so sweeps over
-//! slimming factors, pattern families and tree heights scale to machines
-//! far beyond what the simulator can touch.
+//! randomised schemes contribute their closed-form distribution. Under
+//! uniform traffic every oblivious scheme's point is a closed form —
+//! `O(channels · h)` for Random and r-NCA, `O(n · h + channels)` for S-mod-k
+//! and D-mod-k — so a point on a 16 384-leaf machine costs milliseconds and
+//! sweeps over slimming factors and tree heights scale to machines far
+//! beyond what the simulator can touch. Explicit patterns and the Colored
+//! scheme walk their flows, which is linear in the flow count (quadratic in
+//! the leaves for Colored under uniform traffic).
 
 use crate::bound::tree_cut_lower_bound;
 use crate::loads::ExpectedLoads;

@@ -8,8 +8,9 @@
 //!
 //! The all-pairs uniform matrix is kept symbolic ([`TrafficMatrix::uniform`])
 //! rather than materialised: on a 16 384-leaf machine it would hold ~2.7e8
-//! entries, while the closed-form load computation only ever needs the
-//! per-level pair counts.
+//! entries, while the closed-form load computations only ever need
+//! per-level pair counts (and, for the mod-k schemes, per-channel counts of
+//! guide leaves).
 
 use serde::{Deserialize, Serialize};
 use xgft_patterns::{ConnectivityMatrix, Pattern};
@@ -131,7 +132,9 @@ impl TrafficMatrix {
     /// Visit every (source, destination, weight) demand. For the symbolic
     /// uniform matrix this enumerates all `n(n-1)` ordered pairs — callers
     /// on large machines should prefer the closed-form paths that never
-    /// materialise pairs.
+    /// materialise pairs. [`crate::ExpectedLoads::compute`] has one for
+    /// every oblivious scheme (pair-invariant for Random and r-NCA, per-guide
+    /// counting for S-mod-k and D-mod-k) and enumerates only for Colored.
     pub fn for_each_flow(&self, mut f: impl FnMut(usize, usize, f64)) {
         match &self.kind {
             TrafficKind::Uniform { weight } => {

@@ -1,6 +1,6 @@
 //! Property-based cross-validation of the analytical flow model.
 //!
-//! Two families of checks:
+//! Three families of checks:
 //!
 //! 1. **Against the event-driven simulator** — when every flow carries the
 //!    same number of bytes, a channel's accumulated busy time in
@@ -15,6 +15,10 @@
 //!    the *inverse* pattern with D-mod-k uses, with up and down directions
 //!    swapped. The flow model reproduces the equivalence exactly, with no
 //!    simulation involved.
+//!
+//! 3. **The mod-k uniform closed form against pair enumeration** — the
+//!    `O(n·h + channels)` S-mod-k / D-mod-k path of `ExpectedLoads::compute`
+//!    must equal an oracle that walks every pair's concrete route.
 
 use proptest::prelude::*;
 use xgft_core::{DModK, RandomNcaDown, RandomRouting, RouteDistribution, RouteTable, SModK};
@@ -43,8 +47,9 @@ fn measured_busy_ps(
     sim.channel_busy_ps()
 }
 
-/// Small two-and-three-level specs with optional slimming (mirrors the
-/// strategy used by the core property tests).
+/// Small two- to four-level specs with optional slimming and multi-ported
+/// leaves (`w1 > 1`), mirroring the strategy used by the core property
+/// tests.
 fn small_spec() -> impl Strategy<Value = XgftSpec> {
     prop_oneof![
         (2usize..=6, 1usize..=6)
@@ -54,7 +59,40 @@ fn small_spec() -> impl Strategy<Value = XgftSpec> {
                 XgftSpec::new(vec![m1, m2, m3], vec![1, w2, w3]).expect("valid")
             }
         ),
+        (
+            2usize..=5,
+            2usize..=5,
+            2usize..=3,
+            1usize..=3,
+            1usize..=4,
+            1usize..=2
+        )
+            .prop_map(|(m1, m2, m3, w1, w2, w3)| {
+                XgftSpec::new(vec![m1, m2, m3], vec![w1, w2, w3]).expect("valid")
+            }),
+        (
+            proptest::collection::vec(2usize..=3, 4),
+            proptest::collection::vec(1usize..=3, 4)
+        )
+            .prop_map(|(m, w)| XgftSpec::new(m, w).expect("valid")),
+        Just(XgftSpec::new(vec![5, 5, 3], vec![3, 4, 2]).expect("valid")),
     ]
+}
+
+/// The oracle for the uniform closed forms: every ordered pair's concrete
+/// route, walked channel by channel, `weight` per pair.
+fn uniform_loads_by_route_walk(xgft: &Xgft, algo: &dyn RouteDistribution, weight: f64) -> Vec<f64> {
+    let n = xgft.num_leaves();
+    let mut loads = vec![0.0; xgft.channels().len()];
+    for s in 0..n {
+        for d in (0..n).filter(|&d| d != s) {
+            let route = algo.route(xgft, s, d);
+            for idx in xgft.route_channels(s, d, &route).expect("valid route") {
+                loads[idx] += weight;
+            }
+        }
+    }
+    loads
 }
 
 /// A pseudo-random flow set over `n` leaves derived from `salt`.
@@ -139,6 +177,34 @@ proptest! {
         // Consequence: identical maximum channel loads (the contention-level
         // equivalence the paper argues over permutations and beyond).
         prop_assert!((loads_s.mcl() - loads_d.mcl()).abs() < 1e-9);
+    }
+
+    /// The mod-k uniform closed form equals walking every pair's route:
+    /// bit for bit at unit weight (all counts are integers), and within
+    /// 1e-9 relative at a non-dyadic weight.
+    #[test]
+    fn mod_k_uniform_closed_form_equals_pair_enumeration(spec in small_spec()) {
+        let xgft = Xgft::new(spec).unwrap();
+        let n = xgft.num_leaves();
+        for algo in [&SModK::new() as &dyn RouteDistribution, &DModK::new()] {
+            // The closed form is only taken for schemes that name a guide.
+            prop_assert!(algo.mod_k_guide().is_some());
+            let closed = ExpectedLoads::compute(&xgft, algo, &TrafficMatrix::uniform(n));
+            let oracle = uniform_loads_by_route_walk(&xgft, algo, 1.0);
+            prop_assert_eq!(closed.loads(), &oracle[..], "{} {}", xgft.spec(), algo.name());
+
+            let weighted = TrafficMatrix::uniform_weighted(n, 0.3);
+            let closed = ExpectedLoads::compute(&xgft, algo, &weighted);
+            let oracle = uniform_loads_by_route_walk(&xgft, algo, 0.3);
+            for (idx, (&x, &y)) in closed.loads().iter().zip(&oracle).enumerate() {
+                prop_assert!(
+                    (x - y).abs() <= 1e-9 * y.abs(),
+                    "{} {} channel {idx}: closed form {x} vs enumeration {y}",
+                    xgft.spec(),
+                    algo.name()
+                );
+            }
+        }
     }
 }
 
