@@ -18,9 +18,8 @@
 //! [`SweepResult`] the figure renderers consume. The `campaign` binary in
 //! `xgft-bench` wraps this in a command line and emits the JSON.
 
-use crate::sweep::{
-    assemble_points, enumerate_shards, run_shards, AlgorithmSpec, SweepResult, SweepShard,
-};
+use crate::shard::scheme_draws;
+use crate::sweep::{run_shards, AlgorithmSpec, SweepResult, SweepShard};
 use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
@@ -99,11 +98,20 @@ impl CampaignConfig {
     /// per parallel job, each seeded from its point's deterministic stream.
     /// Pure function of the configuration.
     pub fn shards(&self) -> Vec<SweepShard> {
-        enumerate_shards(&self.w2_values, &self.algorithms, |w2, algo| {
-            (0..self.seeds_per_point)
-                .map(|index| shard_seed(self.base_seed, w2, algo, index))
-                .collect()
-        })
+        self.w2_values
+            .iter()
+            .flat_map(|&w2| {
+                scheme_draws(&self.algorithms, self.seeds_per_point, |algo, index| {
+                    shard_seed(self.base_seed, w2, algo, index)
+                })
+                .into_iter()
+                .map(move |(algorithm, _, seed)| SweepShard {
+                    w2,
+                    algorithm,
+                    seed,
+                })
+            })
+            .collect()
     }
 
     /// Run the campaign for a workload pattern (the trace is derived from
@@ -113,16 +121,14 @@ impl CampaignConfig {
         self.run_trace(pattern, &trace)
     }
 
-    /// Run the campaign for an explicit trace: every shard replays in
-    /// parallel; outcomes are recorded shard by shard and aggregated into
-    /// the usual sweep points.
+    /// Run the campaign for an explicit trace: every shard compiles its
+    /// table and replays through the [`crate::shard`] executor, reusing its
+    /// worker's replay engine and simulator; outcomes are recorded shard by
+    /// shard and aggregated into the usual sweep points.
     pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> CampaignResult {
         xgft_obs::span!("analysis.campaign");
-        let crossbar_ps = crate::slowdown::run_on_crossbar(trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
         let shards = self.shards();
-        let samples = run_shards(&shards, self.k, &self.network, pattern, trace, crossbar_ps);
+        let (samples, sweep) = run_shards(&shards, self.k, &self.network, pattern, trace, false);
         let outcomes: Vec<ShardOutcome> = shards
             .iter()
             .zip(&samples)
@@ -139,14 +145,9 @@ impl CampaignConfig {
             base_seed: self.base_seed,
             seeds_per_point: self.seeds_per_point,
             trace: trace.name().to_string(),
-            crossbar_ps,
+            crossbar_ps: sweep.crossbar_ps,
             shards: outcomes,
-            sweep: SweepResult {
-                trace: trace.name().to_string(),
-                k: self.k,
-                crossbar_ps,
-                points: assemble_points(&shards, &samples),
-            },
+            sweep,
         }
     }
 }

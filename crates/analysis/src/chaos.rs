@@ -25,8 +25,8 @@
 //! count.
 
 use crate::campaign::{name_tag, splitmix64};
+use crate::shard::{self, scheme_draws, PristineTables};
 use crate::sweep::AlgorithmSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_core::{CompiledRouteTable, UndoableTable};
 use xgft_netsim::{FailurePolicy, InjectionBatch, NetworkConfig, NetworkSim};
@@ -171,27 +171,18 @@ impl ChaosConfig {
     /// Deterministic schemes collapse to a single shard (the timeline is
     /// shared, so reruns would be byte-identical anyway).
     pub fn shards(&self) -> Vec<ChaosShard> {
-        let mut shards = Vec::new();
-        for &algorithm in &self.algorithms {
-            let draws = if algorithm.is_seeded() {
-                self.seeds_per_point
-            } else {
-                1
-            };
-            for index in 0..draws {
-                let algo_seed = if algorithm.is_seeded() {
-                    chaos_algo_seed(self.base_seed, algorithm, index)
-                } else {
-                    0
-                };
-                shards.push(ChaosShard {
-                    algorithm,
-                    index,
-                    algo_seed,
-                });
-            }
-        }
-        shards
+        scheme_draws(
+            &self.algorithms,
+            self.seeds_per_point,
+            |algorithm, index| chaos_algo_seed(self.base_seed, algorithm, index),
+        )
+        .into_iter()
+        .map(|(algorithm, index, algo_seed)| ChaosShard {
+            algorithm,
+            index,
+            algo_seed,
+        })
+        .collect()
     }
 
     /// Generate the campaign's incident timeline — a pure function of the
@@ -245,14 +236,15 @@ impl ChaosConfig {
         incidents
     }
 
-    /// Run the campaign: every shard drives the shared timeline in
-    /// parallel; outcomes are recorded in deterministic shard order.
+    /// Run the campaign: every shard drives the shared timeline through the
+    /// [`crate::shard`] executor; outcomes are recorded in deterministic
+    /// shard order.
     ///
     /// The pristine compiled table of every *deterministic* scheme is
-    /// built once and cloned per shard; epoch transitions pay only an
-    /// [`UndoableTable`] revert-and-patch — pristine plus the cumulative
-    /// fault set, at O(patched pairs) — never a full recompile and never a
-    /// chain of one-way patches.
+    /// built once and cloned per shard ([`PristineTables`]); epoch
+    /// transitions pay only an [`UndoableTable`] revert-and-patch —
+    /// pristine plus the cumulative fault set, at O(patched pairs) — never
+    /// a full recompile and never a chain of one-way patches.
     pub fn run(&self, pattern: &Pattern) -> ChaosResult {
         xgft_obs::span!("analysis.chaos");
         assert!(self.epochs > 0, "a chaos campaign needs at least one epoch");
@@ -264,34 +256,14 @@ impl ChaosConfig {
         xgft_obs::global()
             .counter("analysis.chaos.incidents")
             .add(timeline.len() as u64);
-        let pristine: Vec<(AlgorithmSpec, Option<CompiledRouteTable>)> = self
-            .algorithms
-            .iter()
-            .map(|&algorithm| {
-                let table = if algorithm.is_seeded() {
-                    None
-                } else {
-                    let algo = algorithm.instantiate(&xgft, pattern, 0);
-                    Some(CompiledRouteTable::compile(
-                        &xgft,
-                        algo.as_ref(),
-                        flows.iter().map(|f| (f.src, f.dst)),
-                    ))
-                };
-                (algorithm, table)
-            })
-            .collect();
+        let pairs = flows.iter().map(|f| (f.src, f.dst)).collect();
+        let pristine = PristineTables::new(&xgft, pattern, &self.algorithms, pairs);
         let shards = self.shards();
-        let outcomes: Vec<ChaosShardOutcome> = shards
-            .par_iter()
-            .map(|shard| {
-                let cached = pristine
-                    .iter()
-                    .find(|(a, _)| *a == shard.algorithm)
-                    .and_then(|(_, t)| t.as_ref());
-                self.run_shard(&xgft, cached, shard, pattern, &flows, &timeline)
-            })
-            .collect();
+        let outcomes = shard::execute(&shards, &self.network, None, |scratch, shard| {
+            let machine = scratch.machine(xgft.spec());
+            let table = pristine.table(shard.algorithm, shard.algo_seed);
+            self.run_shard(machine.xgft, machine.sim, table, shard, &flows, &timeline)
+        });
         ChaosResult {
             schema_version: CHAOS_SCHEMA_VERSION,
             name: self.name.clone(),
@@ -320,39 +292,27 @@ impl ChaosConfig {
     /// for the incidents known at the boundary, replay the workload, and
     /// strike the epoch's new incidents mid-run.
     ///
-    /// The shard's scratch state is built once and recycled across epochs:
-    /// the working table is an [`UndoableTable`] whose epoch transition
-    /// reverts the previous overlay and patches the new cumulative set in
-    /// O(patched pairs) (pinned pair-identical to clone-and-repatch by the
-    /// `fault_timeline` properties), the simulator is reclaimed with
+    /// The shard's state is recycled across epochs: the working table is
+    /// an [`UndoableTable`] whose epoch transition reverts the previous
+    /// overlay and patches the new cumulative set in O(patched pairs)
+    /// (pinned pair-identical to clone-and-repatch by the `fault_timeline`
+    /// properties), the worker's simulator is reclaimed with
     /// [`NetworkSim::reset`] (pinned byte-identical to a fresh build), and
     /// the workload is lowered into one reused [`InjectionBatch`] (pinned
     /// bit-identical to per-message scheduling).
     fn run_shard(
         &self,
         xgft: &Xgft,
-        pristine: Option<&CompiledRouteTable>,
+        sim: &mut NetworkSim,
+        pristine: CompiledRouteTable,
         shard: &ChaosShard,
-        pattern: &Pattern,
         flows: &[Flow],
         timeline: &[ChaosIncident],
     ) -> ChaosShardOutcome {
-        let pristine = match pristine {
-            Some(table) => table.clone(),
-            None => {
-                let algo = shard.algorithm.instantiate(xgft, pattern, shard.algo_seed);
-                CompiledRouteTable::compile(
-                    xgft,
-                    algo.as_ref(),
-                    flows.iter().map(|f| (f.src, f.dst)),
-                )
-            }
-        };
         let mut working = UndoableTable::new(pristine);
         let mut active: Vec<usize> = Vec::new();
         let mut rerouted = 0usize;
         let mut unroutable_pairs = 0usize;
-        let mut sim = NetworkSim::new(xgft, self.network.clone());
         let mut batch = InjectionBatch::new();
         let mut epochs = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {

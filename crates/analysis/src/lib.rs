@@ -20,10 +20,12 @@
 //! replay in parallel on compiled route tables; the [`campaign`] module
 //! adds deterministic per-shard seed streams and serde-JSON campaign output
 //! on top (the paper's 40–60-seed figure runs as one schedulable unit).
+//! Sweeps, campaigns, resilience and chaos runs all fan out through the one
+//! [`shard`] executor.
 //!
-//! The `xgft-bench` crate wraps each driver in a binary so every figure can
-//! be regenerated from the command line; see the repository `README.md` for
-//! the reproduction workflow.
+//! The `xgft` binary in `xgft-bench` exposes each driver as a registry
+//! entry, so every figure can be regenerated from the command line; see the
+//! repository `README.md` for the reproduction workflow.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,6 +34,7 @@ pub mod campaign;
 pub mod chaos;
 pub mod experiments;
 pub mod resilience;
+pub mod shard;
 pub mod slowdown;
 pub mod stats;
 pub mod sweep;

@@ -4,11 +4,11 @@
 //! A resilience campaign measures what the paper never did: how each
 //! oblivious scheme's *fixed* route choices survive link failures without
 //! reconfiguration. Every shard of the sweep (one `(algorithm, failure
-//! rate, seed index)` triple) builds the pristine compiled route table,
+//! rate, seed index)` triple) takes the pristine compiled route table,
 //! draws a [`FaultSet`] with [`FaultSet::uniform_links`], applies the
-//! incremental [`CompiledRouteTable::patch`] — rerouting only the affected
-//! pairs under each scheme's own label arithmetic — and replays the
-//! workload trace on the patched table. Shards whose patch reports
+//! incremental [`xgft_core::CompiledRouteTable::patch`] — rerouting only
+//! the affected pairs under each scheme's own label arithmetic — and
+//! replays the workload trace on the patched table. Shards whose patch reports
 //! unroutable pairs are recorded as undelivered (the typed-miss path)
 //! instead of being replayed into a guaranteed deadlock.
 //!
@@ -21,16 +21,15 @@
 //! streams never depend on float formatting.
 
 use crate::campaign::{name_tag, splitmix64};
-use crate::slowdown::{run_on_crossbar, run_reusing_sim};
+use crate::shard::{self, group_points, PristineTables};
+use crate::slowdown::run_on_crossbar;
 use crate::stats::BoxplotStats;
 use crate::sweep::AlgorithmSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use xgft_core::CompiledRouteTable;
-use xgft_netsim::{NetworkConfig, NetworkSim};
+use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
 use xgft_topo::{FaultSet, Xgft, XgftSpec};
-use xgft_tracesim::{workloads, ReplayEngine, Trace};
+use xgft_tracesim::{workloads, Trace};
 
 /// Stream selector for [`resilience_seed`]: the fault-sampler seeds of a
 /// point. Public so external tooling can reproduce a shard's exact draws.
@@ -176,86 +175,73 @@ impl ResilienceConfig {
     }
 
     /// Run the campaign for an explicit trace: every shard patches and
-    /// replays in parallel; outcomes are recorded in deterministic shard
-    /// order and aggregated per `(rate, algorithm)` point.
+    /// replays through the [`crate::shard`] executor; outcomes are recorded
+    /// in deterministic shard order and aggregated per `(rate, algorithm)`
+    /// point.
     ///
-    /// The topology is built once, and the pristine compiled table of every
-    /// *deterministic* scheme once per scheme — each of its shards clones
-    /// the table and pays only the incremental patch (this is what makes
-    /// `patch` worth having: shard cost is fault handling, not recompiles).
-    /// Seeded schemes route differently per `algo_seed`, so their shards
-    /// still compile their own tables.
+    /// The pristine compiled table of every *deterministic* scheme is built
+    /// once ([`PristineTables`]) — each of its shards clones the table and
+    /// pays only the incremental patch (this is what makes `patch` worth
+    /// having: shard cost is fault handling, not recompiles). Seeded
+    /// schemes route differently per `algo_seed`, so their shards still
+    /// compile their own tables. Each worker replays its shards through one
+    /// replay engine and one simulator, reclaimed between shards.
     pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> ResilienceResult {
         xgft_obs::span!("analysis.resilience");
         let crossbar_ps = run_on_crossbar(trace, &self.network)
             .expect("crossbar replay cannot deadlock")
             .completion_ps;
         let spec = XgftSpec::slimmed_two_level(self.k, self.w2).expect("valid slimmed spec");
-        let xgft = Xgft::new(spec).expect("valid topology");
-        let pristine: Vec<(AlgorithmSpec, Option<CompiledRouteTable>)> = self
-            .algorithms
-            .iter()
-            .map(|&algorithm| {
-                let table = if algorithm.is_seeded() {
-                    None
-                } else {
-                    let algo = algorithm.instantiate(&xgft, pattern, 0);
-                    Some(CompiledRouteTable::compile(
-                        &xgft,
-                        algo.as_ref(),
-                        trace.communication_pairs(),
-                    ))
-                };
-                (algorithm, table)
-            })
-            .collect();
+        let xgft = Xgft::new(spec.clone()).expect("valid topology");
+        let pristine = PristineTables::new(
+            &xgft,
+            pattern,
+            &self.algorithms,
+            trace.communication_pairs(),
+        );
         let shards = self.shards();
-        // Group consecutive shards by their (permille, algorithm) point so
-        // one rayon work item builds its replay engine and simulator once
-        // and recycles them across the point's fault draws (the simulator
-        // through `NetworkSim::reset`, pinned byte-identical to a fresh
-        // build). Flattening in group order keeps shard order, so results
-        // stay deterministic for any worker count.
-        let mut groups: Vec<&[ResilienceShard]> = Vec::new();
-        let mut rest = shards.as_slice();
-        while let Some(first) = rest.first() {
-            let len = rest
-                .iter()
-                .take_while(|s| s.permille == first.permille && s.algorithm == first.algorithm)
-                .count();
-            let (group, tail) = rest.split_at(len);
-            groups.push(group);
-            rest = tail;
-        }
-        let outcomes: Vec<ResilienceOutcome> = groups
-            .par_iter()
-            .map(|group| {
-                let cached = pristine
-                    .iter()
-                    .find(|(a, _)| *a == group[0].algorithm)
-                    .and_then(|(_, t)| t.as_ref());
-                let mut engine = ReplayEngine::new(trace);
-                let mut sim = NetworkSim::new(&xgft, self.network.clone());
-                group
-                    .iter()
-                    .map(|shard| {
-                        self.run_shard(
-                            &xgft,
-                            cached,
-                            shard,
-                            pattern,
-                            &mut engine,
-                            &mut sim,
-                            crossbar_ps,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
+        let outcomes = shard::execute(&shards, &self.network, Some(trace), |scratch, shard| {
+            let mut machine = scratch.machine(&spec);
+            let mut table = pristine.table(shard.algorithm, shard.algo_seed);
+            let faults = FaultSet::uniform_links(
+                machine.xgft,
+                shard.permille as f64 / 1000.0,
+                shard.fault_seed,
+            );
+            let stats = table.patch(machine.xgft, &faults);
+            let slowdown = (stats.unroutable == 0)
+                .then(|| machine.replay(&table).completion_ps as f64 / crossbar_ps as f64);
+            ResilienceOutcome {
+                algorithm: shard.algorithm.name().to_string(),
+                permille: shard.permille,
+                fault_seed: shard.fault_seed,
+                algo_seed: shard.algo_seed,
+                failed_channels: faults.num_failed_channels(),
+                rerouted: stats.rerouted,
+                unroutable_pairs: stats.unroutable,
+                slowdown,
+            }
+        });
+        let points = group_points(&shards, &outcomes, |s| (s.permille, s.algorithm))
             .into_iter()
-            .flatten()
+            .map(|((permille, algo), point)| {
+                let samples: Vec<f64> = point.iter().filter_map(|o| o.slowdown).collect();
+                let delivered = samples.len();
+                ResiliencePoint {
+                    algorithm: algo.name().to_string(),
+                    permille,
+                    shards: point.len(),
+                    delivered,
+                    delivery_rate: delivered as f64 / point.len() as f64,
+                    stats: if samples.is_empty() {
+                        None
+                    } else {
+                        Some(BoxplotStats::from_samples(&samples))
+                    },
+                    samples,
+                }
+            })
             .collect();
-        let points = assemble_points(&shards, &outcomes);
         ResilienceResult {
             name: self.name.clone(),
             k: self.k,
@@ -267,93 +253,6 @@ impl ResilienceConfig {
             points,
         }
     }
-
-    /// Replay one shard: clone (or compile, for seeded schemes) the
-    /// pristine routes of the trace's pairs, draw the shard's fault set,
-    /// patch, and replay when fully routable — through the group's recycled
-    /// replay engine and simulator.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        &self,
-        xgft: &Xgft,
-        pristine: Option<&CompiledRouteTable>,
-        shard: &ResilienceShard,
-        pattern: &Pattern,
-        engine: &mut ReplayEngine<'_>,
-        sim: &mut NetworkSim,
-        crossbar_ps: u64,
-    ) -> ResilienceOutcome {
-        let mut table = match pristine {
-            Some(table) => table.clone(),
-            None => {
-                let algo = shard.algorithm.instantiate(xgft, pattern, shard.algo_seed);
-                CompiledRouteTable::compile(
-                    xgft,
-                    algo.as_ref(),
-                    engine.trace().communication_pairs(),
-                )
-            }
-        };
-        let faults =
-            FaultSet::uniform_links(xgft, shard.permille as f64 / 1000.0, shard.fault_seed);
-        let stats = table.patch(xgft, &faults);
-        let slowdown = if stats.unroutable == 0 {
-            let result =
-                run_reusing_sim(engine, sim, &table).expect("fully-routed replay cannot deadlock");
-            Some(result.completion_ps as f64 / crossbar_ps as f64)
-        } else {
-            None
-        };
-        ResilienceOutcome {
-            algorithm: shard.algorithm.name().to_string(),
-            permille: shard.permille,
-            fault_seed: shard.fault_seed,
-            algo_seed: shard.algo_seed,
-            failed_channels: faults.num_failed_channels(),
-            rerouted: stats.rerouted,
-            unroutable_pairs: stats.unroutable,
-            slowdown,
-        }
-    }
-}
-
-/// Group shard outcomes into [`ResiliencePoint`]s in configuration order.
-fn assemble_points(
-    shards: &[ResilienceShard],
-    outcomes: &[ResilienceOutcome],
-) -> Vec<ResiliencePoint> {
-    let mut order: Vec<(u32, AlgorithmSpec)> = Vec::new();
-    for shard in shards {
-        if !order.contains(&(shard.permille, shard.algorithm)) {
-            order.push((shard.permille, shard.algorithm));
-        }
-    }
-    order
-        .into_iter()
-        .map(|(permille, algo)| {
-            let point: Vec<&ResilienceOutcome> = shards
-                .iter()
-                .zip(outcomes)
-                .filter(|(s, _)| s.permille == permille && s.algorithm == algo)
-                .map(|(_, o)| o)
-                .collect();
-            let samples: Vec<f64> = point.iter().filter_map(|o| o.slowdown).collect();
-            let delivered = samples.len();
-            ResiliencePoint {
-                algorithm: algo.name().to_string(),
-                permille,
-                shards: point.len(),
-                delivered,
-                delivery_rate: delivered as f64 / point.len() as f64,
-                stats: if samples.is_empty() {
-                    None
-                } else {
-                    Some(BoxplotStats::from_samples(&samples))
-                },
-                samples,
-            }
-        })
-        .collect()
 }
 
 /// The recorded outcome of one resilience shard.

@@ -9,25 +9,26 @@
 //!
 //! Independent (topology, algorithm, seed) runs are embarrassingly parallel;
 //! a sweep is decomposed into [`SweepShard`]s — one per (topology,
-//! algorithm, seed) triple — which Rayon spreads over cores, as the
-//! HPC-parallel guidance recommends parallelising at the outermost loop.
-//! Shard order (and therefore every aggregate) is a pure function of the
-//! configuration: results are identical whatever the worker count. The
-//! [`crate::campaign`] module layers deterministic per-shard seed streams
-//! and serde-JSON campaign output on top of the same machinery.
+//! algorithm, seed) triple — which the [`crate::shard`] executor spreads
+//! over cores, as the HPC-parallel guidance recommends parallelising at the
+//! outermost loop. Shard order (and therefore every aggregate) is a pure
+//! function of the configuration: results are identical whatever the
+//! worker count. The [`crate::campaign`] module layers deterministic
+//! per-shard seed streams and serde-JSON campaign output on top of the same
+//! machinery.
 
-use crate::slowdown::{run_on_crossbar, run_on_xgft_with_source, run_reusing_sim};
+use crate::shard::{self, group_points, scheme_draws};
+use crate::slowdown::run_on_crossbar;
 use crate::stats::BoxplotStats;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
     ColoredRouting, CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown,
     RandomNcaUp, RandomRouting, RoutingAlgorithm, SModK,
 };
-use xgft_netsim::{NetworkConfig, NetworkSim};
+use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
 use xgft_topo::{Xgft, XgftSpec};
-use xgft_tracesim::{workloads, ReplayEngine, Trace};
+use xgft_tracesim::{workloads, Trace};
 
 /// Which routing algorithms a sweep evaluates. Deterministic algorithms are
 /// run once per topology; seeded algorithms once per seed.
@@ -107,6 +108,19 @@ impl AlgorithmSpec {
         }
     }
 
+    /// Instantiate the algorithm and compile its routes for `pairs` into a
+    /// [`CompiledRouteTable`].
+    pub fn compile(
+        &self,
+        xgft: &Xgft,
+        pattern: &Pattern,
+        seed: u64,
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> CompiledRouteTable {
+        let algo = self.instantiate(xgft, pattern, seed);
+        CompiledRouteTable::compile(xgft, algo.as_ref(), pairs)
+    }
+
     /// The closed-form [`CompactScheme`] equivalent of this algorithm, or
     /// `None` for the pattern-aware colored scheme, which has no
     /// label-arithmetic form. For seeded algorithms the same seed yields
@@ -135,39 +149,6 @@ pub struct SweepShard {
     pub seed: u64,
 }
 
-/// Enumerate the shards of a (w2 × algorithm) grid: seeded algorithms get
-/// one shard per seed from `seeds_for_point`, deterministic ones a single
-/// placeholder-seeded shard. Shared by [`SweepConfig::shards`] and
-/// [`crate::campaign::CampaignConfig::shards`] so the two can never
-/// silently diverge in enumeration order.
-pub(crate) fn enumerate_shards(
-    w2_values: &[usize],
-    algorithms: &[AlgorithmSpec],
-    seeds_for_point: impl Fn(usize, AlgorithmSpec) -> Vec<u64>,
-) -> Vec<SweepShard> {
-    let mut shards = Vec::new();
-    for &w2 in w2_values {
-        for &algo in algorithms {
-            if algo.is_seeded() {
-                for seed in seeds_for_point(w2, algo) {
-                    shards.push(SweepShard {
-                        w2,
-                        algorithm: algo,
-                        seed,
-                    });
-                }
-            } else {
-                shards.push(SweepShard {
-                    w2,
-                    algorithm: algo,
-                    seed: 0,
-                });
-            }
-        }
-    }
-    shards
-}
-
 /// Count a completed shard (and emit a trace event when a sink is
 /// installed). Rayon shards run on real threads, which is exactly what the
 /// registry's atomics are for.
@@ -189,114 +170,61 @@ pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: 
     }
 }
 
-/// Replay one shard through the closed-form [`CompactRoutes`] engine
-/// instead of a compiled table. Paths are byte-identical to the compiled
-/// form (pinned by the core crate's property tests), so the sample is too.
-pub(crate) fn run_shard_compact(
-    shard: &SweepShard,
-    k: usize,
-    network: &NetworkConfig,
-    trace: &Trace,
-    crossbar_ps: u64,
-) -> f64 {
-    let spec = XgftSpec::slimmed_two_level(k, shard.w2).expect("valid slimmed spec");
-    let xgft = Xgft::new(spec).expect("valid topology");
-    let scheme = shard
-        .algorithm
-        .compact_scheme(&xgft, shard.seed)
-        .expect("colored has no compact closed form; rejected upstream");
-    let routes = CompactRoutes::for_pairs(&xgft, scheme, trace.communication_pairs());
-    let result = run_on_xgft_with_source(trace, &xgft, routes, network)
-        .expect("replay cannot deadlock on a valid trace");
-    record_shard(shard, crossbar_ps, result.completion_ps);
-    result.completion_ps as f64 / crossbar_ps as f64
-}
-
-/// Run every shard in parallel (rayon) and return one slowdown sample per
-/// shard, in shard order — deterministic for any worker count because the
-/// parallel map preserves input order (the flattening below keeps group
-/// order, and groups partition the shard list in order).
-///
-/// Shards are grouped by their `(w2, algorithm)` point — consecutive in the
-/// enumeration order of [`enumerate_shards`] — so one rayon work item
-/// builds its topology, simulator and replay plan once and recycles them
-/// across the point's seeds: the simulator through [`NetworkSim::reset`]
-/// (pinned byte-identical to a fresh build) and the replay engine's
-/// compiled plan and match-queue arenas through its internal scratch reset
-/// (pinned by the tracesim slab suite). Only the route table is rebuilt
-/// per seed, because it is the only per-seed state.
+/// Replay every shard through the [`crate::shard`] executor and aggregate:
+/// one slowdown sample per shard (in shard order) and the sweep of
+/// per-(w2, algorithm) boxplot points. Each shard compiles its own route
+/// table — the only per-seed state — or, when `compact` is set, builds the
+/// closed-form [`CompactRoutes`] engine instead; compact paths are
+/// byte-identical to compiled ones (pinned by the core crate's property
+/// tests), so the samples are too.
 pub(crate) fn run_shards(
     shards: &[SweepShard],
     k: usize,
     network: &NetworkConfig,
     pattern: &Pattern,
     trace: &Trace,
-    crossbar_ps: u64,
-) -> Vec<f64> {
-    let mut groups: Vec<&[SweepShard]> = Vec::new();
-    let mut rest = shards;
-    while let Some(first) = rest.first() {
-        let len = rest
-            .iter()
-            .take_while(|s| s.w2 == first.w2 && s.algorithm == first.algorithm)
-            .count();
-        let (group, tail) = rest.split_at(len);
-        groups.push(group);
-        rest = tail;
-    }
-    let samples: Vec<Vec<f64>> = groups
-        .par_iter()
-        .map(|group| {
-            let spec = XgftSpec::slimmed_two_level(k, group[0].w2).expect("valid slimmed spec");
-            let xgft = Xgft::new(spec).expect("valid topology");
-            let mut engine = ReplayEngine::new(trace);
-            let mut sim = NetworkSim::new(&xgft, network.clone());
-            group
-                .iter()
-                .map(|shard| {
-                    let instance = shard.algorithm.instantiate(&xgft, pattern, shard.seed);
-                    let table = CompiledRouteTable::compile(
-                        &xgft,
-                        instance.as_ref(),
-                        trace.communication_pairs(),
-                    );
-                    let result = run_reusing_sim(&mut engine, &mut sim, &table)
-                        .expect("replay cannot deadlock on a valid trace");
-                    record_shard(shard, crossbar_ps, result.completion_ps);
-                    result.completion_ps as f64 / crossbar_ps as f64
-                })
-                .collect()
+    compact: bool,
+) -> (Vec<f64>, SweepResult) {
+    let crossbar_ps = run_on_crossbar(trace, network)
+        .expect("crossbar replay cannot deadlock")
+        .completion_ps;
+    let pairs = trace.communication_pairs();
+    let samples = shard::execute(shards, network, Some(trace), |scratch, shard| {
+        let spec = XgftSpec::slimmed_two_level(k, shard.w2).expect("valid slimmed spec");
+        let mut machine = scratch.machine(&spec);
+        let result = if compact {
+            let scheme = shard
+                .algorithm
+                .compact_scheme(machine.xgft, shard.seed)
+                .expect("colored has no compact closed form; rejected upstream");
+            let routes = CompactRoutes::for_pairs(machine.xgft, scheme, pairs.iter().copied());
+            machine.replay(routes)
+        } else {
+            let table =
+                shard
+                    .algorithm
+                    .compile(machine.xgft, pattern, shard.seed, pairs.iter().copied());
+            machine.replay(&table)
+        };
+        record_shard(shard, crossbar_ps, result.completion_ps);
+        result.completion_ps as f64 / crossbar_ps as f64
+    });
+    let points = group_points(shards, samples.iter().copied(), |s| (s.w2, s.algorithm))
+        .into_iter()
+        .map(|((w2, algo), samples)| SweepPoint {
+            w2,
+            algorithm: algo.name().to_string(),
+            stats: BoxplotStats::from_samples(&samples),
+            samples,
         })
         .collect();
-    samples.into_iter().flatten().collect()
-}
-
-/// Group per-shard samples into [`SweepPoint`]s, one per (w2, algorithm) in
-/// the given configuration order.
-pub(crate) fn assemble_points(shards: &[SweepShard], samples: &[f64]) -> Vec<SweepPoint> {
-    let mut order: Vec<(usize, AlgorithmSpec)> = Vec::new();
-    for shard in shards {
-        if !order.contains(&(shard.w2, shard.algorithm)) {
-            order.push((shard.w2, shard.algorithm));
-        }
-    }
-    order
-        .into_iter()
-        .map(|(w2, algo)| {
-            let values: Vec<f64> = shards
-                .iter()
-                .zip(samples)
-                .filter(|(s, _)| s.w2 == w2 && s.algorithm == algo)
-                .map(|(_, &v)| v)
-                .collect();
-            SweepPoint {
-                w2,
-                algorithm: algo.name().to_string(),
-                stats: BoxplotStats::from_samples(&values),
-                samples: values,
-            }
-        })
-        .collect()
+    let sweep = SweepResult {
+        trace: trace.name().to_string(),
+        k,
+        crossbar_ps,
+        points,
+    };
+    (samples, sweep)
 }
 
 /// One point of a sweep: a (w2, algorithm) pair with its slowdown samples.
@@ -399,7 +327,18 @@ impl SweepConfig {
     /// at every point), deterministic ones a single shard. Pure function of
     /// the configuration.
     pub fn shards(&self) -> Vec<SweepShard> {
-        enumerate_shards(&self.w2_values, &self.algorithms, |_, _| self.seeds.clone())
+        self.w2_values
+            .iter()
+            .flat_map(|&w2| {
+                scheme_draws(&self.algorithms, self.seeds.len(), |_, i| self.seeds[i])
+                    .into_iter()
+                    .map(move |(algorithm, _, seed)| SweepShard {
+                        w2,
+                        algorithm,
+                        seed,
+                    })
+            })
+            .collect()
     }
 
     /// Run the sweep for a workload pattern (the trace is derived from it).
@@ -413,22 +352,8 @@ impl SweepConfig {
     /// compiled ones), near-zero route state per shard. Panics if the
     /// configuration lists the colored scheme, which has no closed form.
     pub fn run_compact(&self, pattern: &Pattern) -> SweepResult {
-        xgft_obs::span!("analysis.sweep");
         let trace = workloads::trace_from_pattern(pattern, 0);
-        let crossbar_ps = run_on_crossbar(&trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
-        let shards = self.shards();
-        let samples: Vec<f64> = shards
-            .par_iter()
-            .map(|shard| run_shard_compact(shard, self.k, &self.network, &trace, crossbar_ps))
-            .collect();
-        SweepResult {
-            trace: trace.name().to_string(),
-            k: self.k,
-            crossbar_ps,
-            points: assemble_points(&shards, &samples),
-        }
+        self.run_with(pattern, &trace, true)
     }
 
     /// Run the sweep for an explicit trace (must communicate over the
@@ -436,18 +361,13 @@ impl SweepConfig {
     /// schemes): one parallel replay per shard, aggregated into per-point
     /// boxplots.
     pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> SweepResult {
+        self.run_with(pattern, trace, false)
+    }
+
+    fn run_with(&self, pattern: &Pattern, trace: &Trace, compact: bool) -> SweepResult {
         xgft_obs::span!("analysis.sweep");
-        let crossbar_ps = run_on_crossbar(trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
         let shards = self.shards();
-        let samples = run_shards(&shards, self.k, &self.network, pattern, trace, crossbar_ps);
-        SweepResult {
-            trace: trace.name().to_string(),
-            k: self.k,
-            crossbar_ps,
-            points: assemble_points(&shards, &samples),
-        }
+        run_shards(&shards, self.k, &self.network, pattern, trace, compact).1
     }
 }
 

@@ -69,17 +69,27 @@ fn sweep_result_is_identical_for_any_worker_count() {
         seeds: vec![1, 2, 3],
         network: NetworkConfig::default(),
     };
-    let single = ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| config.run(&pattern));
-    let parallel = config.run(&pattern);
-    assert_eq!(
-        serde_json::to_string(&single).unwrap(),
-        serde_json::to_string(&parallel).unwrap(),
-        "SweepConfig::run must not depend on the rayon thread count"
-    );
+    // Both route representations go through the same shard executor.
+    for compact in [false, true] {
+        let run = || {
+            if compact {
+                config.run_compact(&pattern)
+            } else {
+                config.run(&pattern)
+            }
+        };
+        let single = ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(run);
+        let parallel = run();
+        assert_eq!(
+            serde_json::to_string(&single).unwrap(),
+            serde_json::to_string(&parallel).unwrap(),
+            "SweepConfig::run (compact = {compact}) must not depend on the rayon thread count"
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Consistency tests of the sweep machinery: the crossbar reference, point
 //! lookups, sample counts and rendering must all agree with each other.
 
-use xgft_analysis::slowdown::{run_on_crossbar, run_on_xgft};
+use xgft_analysis::slowdown::{run_on_crossbar, run_on_xgft, run_on_xgft_with_compiled};
 use xgft_analysis::sweep::{AlgorithmSpec, SweepConfig, SweepResult};
-use xgft_core::DModK;
+use xgft_core::{CompiledRouteTable, DModK};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::generators;
 use xgft_topo::{Xgft, XgftSpec};
@@ -81,4 +81,49 @@ fn render_table_lists_every_w2_and_algorithm() {
     for algo in ["d-mod-k", "s-mod-k", "random", "r-NCA-d"] {
         assert!(table.contains(algo), "missing column {algo}\n{table}");
     }
+}
+
+/// One worker runs every shard, so its scratch must switch topology at
+/// every w2 change (4 → 1 → 4 → 2) and come back to a topology it has seen
+/// before. Each sample must still equal a fresh, scratch-free replay of
+/// the same shard.
+#[test]
+fn scratch_reuse_across_topology_changes_matches_fresh_replays() {
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let config = SweepConfig {
+        k: 4,
+        w2_values: vec![4, 1, 4, 2],
+        algorithms: vec![AlgorithmSpec::Random, AlgorithmSpec::DModK],
+        seeds: vec![1, 2],
+        network: NetworkConfig::default(),
+    };
+    let result = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| config.run(&pattern));
+    let trace = workloads::trace_from_pattern(&pattern, 0);
+    let crossbar = run_on_crossbar(&trace, &config.network)
+        .unwrap()
+        .completion_ps;
+    let shards = config.shards();
+    let mut checked = 0;
+    for point in &result.points {
+        let fresh: Vec<f64> = shards
+            .iter()
+            .filter(|s| s.w2 == point.w2 && s.algorithm.name() == point.algorithm)
+            .map(|s| {
+                let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, s.w2).unwrap()).unwrap();
+                let algo = s.algorithm.instantiate(&xgft, &pattern, s.seed);
+                let table =
+                    CompiledRouteTable::compile(&xgft, algo.as_ref(), trace.communication_pairs());
+                let replay =
+                    run_on_xgft_with_compiled(&trace, &xgft, &table, &config.network).unwrap();
+                replay.completion_ps as f64 / crossbar as f64
+            })
+            .collect();
+        assert_eq!(point.samples, fresh, "{}@w2={}", point.algorithm, point.w2);
+        checked += fresh.len();
+    }
+    assert_eq!(checked, shards.len(), "every shard was compared");
 }

@@ -1,10 +1,10 @@
-//! # xgft-bench — experiment binaries and Criterion benches
+//! # xgft-bench — the experiment binary and Criterion benches
 //!
 //! The experiment surface is the unified `xgft` binary (the
 //! `xgft-scenario` crate's CLI: `xgft run <spec>`, `xgft list`,
-//! `xgft fig2_wrf --quick`, …). The historical per-figure binaries still
-//! build, but every one is a one-line argv forwarder over the scenario
-//! registry — no experiment logic lives in `src/bin/` anymore.
+//! `xgft fig2_wrf --quick`, …). The historical per-figure binary names
+//! live on as registry aliases (`xgft fig1_topologies`,
+//! `xgft sec7_equivalence`, …).
 //!
 //! This library re-exports the shared flag parser for backwards
 //! compatibility; new code should depend on `xgft-scenario` directly.

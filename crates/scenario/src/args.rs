@@ -1,8 +1,7 @@
 //! The single shared command-line parser of the experiment layer.
 //!
-//! Every registry entry (and therefore every legacy binary shim) accepts
-//! the same flags through this one parser, so a flag can never drift
-//! between experiments again:
+//! Every registry entry accepts the same flags through this one parser, so
+//! a flag can never drift between experiments again:
 //!
 //! * `--quick`            — few seeds, strongly scaled-down message sizes.
 //! * `--full`             — paper-scale message sizes and 40 seeds.

@@ -321,7 +321,7 @@ fn bench_tracesim(quick: bool, reps: u32) -> Vec<BenchProbe> {
     ]
 }
 
-/// A seed campaign through the tracesim machinery (rayon shards included).
+/// A seed campaign through the tracesim machinery (shard executor included).
 fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 4 } else { 8 };
     let pattern = generators::wrf_mesh_exchange(k, k, 16 * 1024);
@@ -343,8 +343,8 @@ fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
     });
 
     // A second probe at the next scale up: bigger tree, more shards per
-    // (w2, algorithm) group, so the shard-local engine/simulator reuse has
-    // enough consecutive shards to amortise over.
+    // topology, so each worker's reused engine/simulator has enough
+    // consecutive shards to amortise over.
     let wide_k = if quick { 8 } else { 16 };
     let wide_pattern = generators::wrf_mesh_exchange(wide_k, wide_k, 16 * 1024);
     let wide_config = CampaignConfig {

@@ -7,8 +7,7 @@
 //! xgft help                                           this text
 //! ```
 //!
-//! Exit codes are consistent across every subcommand and every legacy
-//! binary shim:
+//! Exit codes are consistent across every subcommand and registry entry:
 //!
 //! * `0` — success;
 //! * `2` — bad input: unknown command, bad flags, unreadable/invalid spec;
@@ -96,8 +95,8 @@ pub fn main() -> i32 {
     main_with_args(std::env::args().skip(1).collect())
 }
 
-/// Run a registry entry by name with the shared flag set. The legacy
-/// binaries forward here with their historical name.
+/// Run a registry entry by name (or legacy alias) with the shared flag
+/// set.
 pub fn run_named<I: IntoIterator<Item = String>>(name: &str, args: I) -> i32 {
     let Some(entry) = registry::find(name) else {
         eprintln!("unknown scenario `{name}` — try `xgft list`");

@@ -19,9 +19,9 @@
 //! * [`args`] — the one flag parser every experiment shares (formerly
 //!   duplicated per binary in `xgft-bench`).
 //!
-//! The old per-figure binaries in `crates/bench/src/bin/` still exist but
-//! are argv-forwarding shims over [`mod@registry`]; new experiments are new
-//! *specs* (or registry entries), not new binaries.
+//! The old per-figure binaries are gone; their names live on as
+//! [`mod@registry`] entries and aliases. New experiments are new *specs*
+//! (or registry entries), not new binaries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,17 +1,23 @@
 //! Lowering [`ScenarioSpec`]s onto the evaluation machinery.
 //!
-//! [`run_scenario`] validates a spec, dispatches on its engine/fault/seed
-//! combination and drives the existing compiled-table infrastructure:
+//! [`run_scenario`] validates a spec, lowers its engine/fault/seed
+//! combination in one place (`lower`, which [`shard_summary`] shares) and
+//! drives the existing compiled-table infrastructure:
 //!
 //! | spec shape | lowered onto | payload |
 //! |---|---|---|
 //! | `Tracesim` + `SeedSpec::List` | [`SweepConfig`] (figure sweeps) | [`ResultPayload::Sweep`] |
 //! | `Tracesim` + `SeedSpec::Stream` | [`CampaignConfig`] (seed campaigns) | [`ResultPayload::Campaign`] |
 //! | `Tracesim` + `FaultSpec::UniformLinks` | [`ResilienceConfig`] | [`ResultPayload::Resilience`] |
+//! | `Netsim` + `chaos` | [`ChaosConfig`] | [`ResultPayload::Chaos`] |
 //! | `Flow` | [`FlowSweepConfig`] (closed forms) | [`ResultPayload::Flow`] |
 //! | `Nca` | `experiments::fig4` | [`ResultPayload::Nca`] |
 //! | `Netsim` | direct injection (this module) | [`ResultPayload::Direct`] |
 //! | `AllWithAgreement` | all three engines, channel-by-channel | [`ResultPayload::Agreement`] |
+//!
+//! The direct and agreement engines fan their (topology × scheme × seed)
+//! shards out through the analysis crate's `shard` executor, like every
+//! campaign.
 //!
 //! Every run returns one versioned [`ScenarioResult`] envelope:
 //! `schema_version` + the spec (provenance) + the payload. The payload
@@ -22,24 +28,24 @@
 
 use crate::spec::{
     EngineSpec, FaultSpec, RepresentationSpec, ScenarioError, ScenarioSpec, SchemeSpec, SeedSpec,
-    TopologySpec,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_analysis::experiments::fig4::{self, Fig4Result};
+use xgft_analysis::shard::{self, scheme_draws};
+use xgft_analysis::slowdown::run_reusing_sim;
 use xgft_analysis::{
     CampaignConfig, CampaignResult, ChaosConfig, ChaosResult, ChaosShardOutcome, ResilienceConfig,
     ResilienceResult, SweepConfig, SweepResult,
 };
-use xgft_core::{CompactRoutes, CompiledRouteTable, RouteSource};
+use xgft_core::{CompactRoutes, RouteSource};
 use xgft_flow::{
     tree_cut_lower_bound, DegradedLoads, FlowSweepConfig, FlowSweepResult, TrafficMatrix,
     TrafficSpec,
 };
 use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim, SimReport};
 use xgft_patterns::Pattern;
-use xgft_topo::Xgft;
-use xgft_tracesim::{RankEvent, ReplayEngine, RoutedNetwork, Trace};
+use xgft_topo::{Xgft, XgftSpec};
+use xgft_tracesim::{RankEvent, ReplayEngine, Trace};
 
 /// The result schema version this crate emits.
 pub const RESULT_SCHEMA_VERSION: u32 = 1;
@@ -409,88 +415,150 @@ impl ScenarioResult {
     }
 }
 
-/// The pre-run progress header of campaign/resilience scenarios (`None`
-/// for the other shapes). Long campaigns run for minutes; the CLI prints
-/// this to stderr *before* [`run_scenario`] so they are never silent —
-/// the same contract the historical `campaign`/`faults` binaries had.
-/// Shard counts are computed arithmetically, mirroring
-/// `CampaignConfig::shards` / `ResilienceConfig::shards`.
+/// The pre-run progress header of campaign, resilience and chaos scenarios
+/// (`None` for the other shapes). Long campaigns run for minutes; the CLI
+/// prints this to stderr *before* [`run_scenario`] so they are never
+/// silent — the same contract the historical `campaign`/`faults` binaries
+/// had. The shard count is the lowered configuration's own `shards()`.
 pub fn shard_summary(spec: &ScenarioSpec) -> Option<String> {
-    let TopologySpec::SlimmedTwoLevel { k, .. } = spec.topology else {
-        return None;
-    };
-    match (&spec.faults, &spec.seeds) {
+    Some(match lower(spec).ok()? {
+        Lowered::Resilience(c) => format!(
+            "# resilience {}: {} leaves, {} shards ({} rates x {} algorithms, {} fault draws/point, base seed {})",
+            c.name,
+            c.k * c.k,
+            c.shards().len(),
+            c.failure_permille.len(),
+            c.algorithms.len(),
+            c.faults_per_point,
+            c.base_seed
+        ),
+        Lowered::Chaos(c) => format!(
+            "# chaos {}: {} leaves, {} shards x {} epochs ({} algorithms, {} seeds/point, base seed {})",
+            c.name,
+            c.k * c.k,
+            c.shards().len(),
+            c.epochs,
+            c.algorithms.len(),
+            c.seeds_per_point,
+            c.base_seed
+        ),
+        Lowered::Campaign(c) => format!(
+            "# campaign {}: {} leaves, {} shards ({} w2 points x {} algorithms, {} seeds/point, base seed {})",
+            c.name,
+            c.k * c.k,
+            c.shards().len(),
+            c.w2_values.len(),
+            c.algorithms.len(),
+            c.seeds_per_point,
+            c.base_seed
+        ),
+        _ => return None,
+    })
+}
+
+/// What a spec lowers onto: an analysis configuration for the
+/// campaign-shaped runs, or the engine this module drives itself.
+enum Lowered {
+    Sweep(SweepConfig),
+    Campaign(CampaignConfig),
+    Resilience(ResilienceConfig),
+    Chaos(ChaosConfig),
+    Flow,
+    Nca,
+    Direct,
+    Agreement,
+}
+
+/// Lower a spec onto what runs it (the dispatch table in the module docs).
+/// Shapes `validate` rejects are typed errors here too, so
+/// [`shard_summary`] can lower a spec that was never validated.
+fn lower(spec: &ScenarioSpec) -> Result<Lowered, ScenarioError> {
+    let algorithms = || spec.schemes.iter().map(|s| s.0).collect();
+    let invalid = |msg: &str| Err(ScenarioError::Invalid(msg.to_string()));
+    Ok(match (&spec.faults, spec.engine) {
         (
             FaultSpec::UniformLinks {
                 permille,
                 draws_per_point,
             },
-            SeedSpec::Stream { base_seed, .. },
+            EngineSpec::Tracesim,
         ) => {
-            let algos = spec.schemes.len();
-            let draws: usize = permille
-                .iter()
-                .map(|&p| if p == 0 { 1 } else { *draws_per_point })
-                .sum();
-            Some(format!(
-                "# resilience {}: {} leaves, {} shards ({} rates x {} algorithms, {} fault draws/point, base seed {})",
-                spec.name,
-                k * k,
-                draws * algos,
-                permille.len(),
-                algos,
-                draws_per_point,
-                base_seed
-            ))
-        }
-        (
-            FaultSpec::None,
-            SeedSpec::Stream {
-                base_seed,
-                seeds_per_point,
-            },
-        ) if spec.chaos.is_some() => {
-            let chaos = spec.chaos.as_ref().expect("guarded by the arm");
-            let seeded = spec.schemes.iter().filter(|s| s.0.is_seeded()).count();
-            let deterministic = spec.schemes.len() - seeded;
-            Some(format!(
-                "# chaos {}: {} leaves, {} shards x {} epochs ({} algorithms, {} seeds/point, base seed {})",
-                spec.name,
-                k * k,
-                seeded * seeds_per_point + deterministic,
-                chaos.epochs,
-                spec.schemes.len(),
-                seeds_per_point,
-                base_seed
-            ))
-        }
-        (
-            FaultSpec::None,
-            SeedSpec::Stream {
-                base_seed,
-                seeds_per_point,
-            },
-        ) if spec.engine == EngineSpec::Tracesim => {
-            let w2s = if spec.sweep.w2_values.is_empty() {
-                1
-            } else {
-                spec.sweep.w2_values.len()
+            let SeedSpec::Stream { base_seed, .. } = spec.seeds else {
+                return invalid("faults require SeedSpec::Stream");
             };
-            let seeded = spec.schemes.iter().filter(|s| s.0.is_seeded()).count();
-            let deterministic = spec.schemes.len() - seeded;
-            Some(format!(
-                "# campaign {}: {} leaves, {} shards ({} w2 points x {} algorithms, {} seeds/point, base seed {})",
-                spec.name,
-                k * k,
-                w2s * (seeded * seeds_per_point + deterministic),
-                w2s,
-                spec.schemes.len(),
-                seeds_per_point,
-                base_seed
-            ))
+            let (k, w2_values) = slimmed_family(spec)?;
+            Lowered::Resilience(ResilienceConfig {
+                w2: w2_values[0],
+                algorithms: algorithms(),
+                network: spec.network.clone(),
+                ..ResilienceConfig::full_tree(
+                    spec.name.clone(),
+                    k,
+                    permille.clone(),
+                    *draws_per_point,
+                    base_seed,
+                )
+            })
         }
-        _ => None,
-    }
+        (FaultSpec::UniformLinks { .. }, _) => {
+            return invalid("faults currently require the Tracesim engine")
+        }
+        (FaultSpec::None, EngineSpec::Tracesim) => {
+            let (k, w2_values) = slimmed_family(spec)?;
+            match &spec.seeds {
+                SeedSpec::List { seeds } => Lowered::Sweep(SweepConfig {
+                    k,
+                    w2_values,
+                    algorithms: algorithms(),
+                    seeds: seeds.clone(),
+                    network: spec.network.clone(),
+                }),
+                SeedSpec::Stream {
+                    base_seed,
+                    seeds_per_point,
+                } => Lowered::Campaign(CampaignConfig {
+                    name: spec.name.clone(),
+                    k,
+                    w2_values,
+                    algorithms: algorithms(),
+                    seeds_per_point: *seeds_per_point,
+                    base_seed: *base_seed,
+                    network: spec.network.clone(),
+                }),
+            }
+        }
+        (FaultSpec::None, EngineSpec::Netsim) => match &spec.chaos {
+            Some(chaos) => {
+                let SeedSpec::Stream {
+                    base_seed,
+                    seeds_per_point,
+                } = spec.seeds
+                else {
+                    return invalid("chaos requires SeedSpec::Stream");
+                };
+                let (k, w2_values) = slimmed_family(spec)?;
+                Lowered::Chaos(ChaosConfig {
+                    name: spec.name.clone(),
+                    k,
+                    w2: w2_values[0],
+                    algorithms: algorithms(),
+                    epochs: chaos.epochs,
+                    epoch_ps: chaos.epoch_ps,
+                    link_fail_permille: chaos.link_fail_permille,
+                    switch_kill_permille: chaos.switch_kill_permille,
+                    cable_cut_permille: chaos.cable_cut_permille,
+                    repair_epochs: chaos.repair_epochs,
+                    seeds_per_point,
+                    base_seed,
+                    network: spec.network.clone(),
+                })
+            }
+            None => Lowered::Direct,
+        },
+        (FaultSpec::None, EngineSpec::Flow) => Lowered::Flow,
+        (FaultSpec::None, EngineSpec::Nca) => Lowered::Nca,
+        (FaultSpec::None, EngineSpec::AllWithAgreement) => Lowered::Agreement,
+    })
 }
 
 /// Run one scenario end to end. See the module docs for the dispatch.
@@ -511,69 +579,17 @@ pub fn run_scenario(
     // Validation instantiates the workload while checking it; reuse that
     // pattern instead of materialising a second copy.
     let pattern = spec.validated_pattern()?;
-    let payload = match (&spec.faults, spec.engine) {
-        (
-            FaultSpec::UniformLinks {
-                permille,
-                draws_per_point,
-            },
-            EngineSpec::Tracesim,
-        ) => {
-            let SeedSpec::Stream { base_seed, .. } = spec.seeds else {
-                unreachable!("validate() requires Stream seeds with faults");
-            };
-            let (k, w2) = slimmed_family(&spec)?;
-            let mut config = ResilienceConfig::full_tree(
-                spec.name.clone(),
-                k,
-                permille.clone(),
-                *draws_per_point,
-                base_seed,
-            );
-            config.w2 = w2.first().copied().unwrap_or(k);
-            config.algorithms = spec.schemes.iter().map(|s| s.0).collect();
-            config.network = spec.network.clone();
-            ResultPayload::Resilience(config.run(&pattern))
-        }
-        (FaultSpec::UniformLinks { .. }, _) => {
-            unreachable!("validate() restricts faults to the Tracesim engine")
-        }
-        (FaultSpec::None, EngineSpec::Tracesim) => {
-            let (k, w2_values) = slimmed_family(&spec)?;
-            match &spec.seeds {
-                SeedSpec::List { seeds } => {
-                    let config = SweepConfig {
-                        k,
-                        w2_values,
-                        algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                        seeds: seeds.clone(),
-                        network: spec.network.clone(),
-                    };
-                    ResultPayload::Sweep(match spec.representation {
-                        RepresentationSpec::Compiled => config.run(&pattern),
-                        // Byte-identical samples from the closed-form
-                        // engine (compact paths equal compiled paths).
-                        RepresentationSpec::Compact => config.run_compact(&pattern),
-                    })
-                }
-                SeedSpec::Stream {
-                    base_seed,
-                    seeds_per_point,
-                } => {
-                    let config = CampaignConfig {
-                        name: spec.name.clone(),
-                        k,
-                        w2_values,
-                        algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                        seeds_per_point: *seeds_per_point,
-                        base_seed: *base_seed,
-                        network: spec.network.clone(),
-                    };
-                    ResultPayload::Campaign(config.run(&pattern))
-                }
-            }
-        }
-        (FaultSpec::None, EngineSpec::Flow) => match spec.representation {
+    let payload = match lower(&spec)? {
+        Lowered::Sweep(config) => ResultPayload::Sweep(match spec.representation {
+            RepresentationSpec::Compiled => config.run(&pattern),
+            // Byte-identical samples from the closed-form engine (compact
+            // paths equal compiled paths).
+            RepresentationSpec::Compact => config.run_compact(&pattern),
+        }),
+        Lowered::Campaign(config) => ResultPayload::Campaign(config.run(&pattern)),
+        Lowered::Resilience(config) => ResultPayload::Resilience(config.run(&pattern)),
+        Lowered::Chaos(config) => ResultPayload::Chaos(config.run(&pattern)),
+        Lowered::Flow => match spec.representation {
             RepresentationSpec::Compiled => {
                 let config = FlowSweepConfig {
                     specs: spec.topologies()?,
@@ -586,7 +602,7 @@ pub fn run_scenario(
                 ResultPayload::CompactFlow(run_compact_flow(&spec, &pattern)?)
             }
         },
-        (FaultSpec::None, EngineSpec::Nca) => {
+        Lowered::Nca => {
             let seeds = spec
                 .seeds
                 .as_list()
@@ -599,38 +615,8 @@ pub fn run_scenario(
                 .collect();
             ResultPayload::Nca(results)
         }
-        (FaultSpec::None, EngineSpec::Netsim) => match &spec.chaos {
-            Some(chaos) => {
-                let SeedSpec::Stream {
-                    base_seed,
-                    seeds_per_point,
-                } = spec.seeds
-                else {
-                    unreachable!("validate() requires Stream seeds with chaos");
-                };
-                let (k, w2) = slimmed_family(&spec)?;
-                let config = ChaosConfig {
-                    name: spec.name.clone(),
-                    k,
-                    w2: w2.first().copied().unwrap_or(k),
-                    algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                    epochs: chaos.epochs,
-                    epoch_ps: chaos.epoch_ps,
-                    link_fail_permille: chaos.link_fail_permille,
-                    switch_kill_permille: chaos.switch_kill_permille,
-                    cable_cut_permille: chaos.cable_cut_permille,
-                    repair_epochs: chaos.repair_epochs,
-                    seeds_per_point,
-                    base_seed,
-                    network: spec.network.clone(),
-                };
-                ResultPayload::Chaos(config.run(&pattern))
-            }
-            None => ResultPayload::Direct(run_direct(&spec, &pattern)?),
-        },
-        (FaultSpec::None, EngineSpec::AllWithAgreement) => {
-            ResultPayload::Agreement(run_agreement(&spec, &pattern)?)
-        }
+        Lowered::Direct => ResultPayload::Direct(run_direct(&spec, &pattern)?),
+        Lowered::Agreement => ResultPayload::Agreement(run_agreement(&spec, &pattern)?),
     };
     // Close the run span before diffing so scenario.run itself lands in
     // the window.
@@ -667,25 +653,32 @@ fn slimmed_family(spec: &ScenarioSpec) -> Result<(usize, Vec<usize>), ScenarioEr
     }
 }
 
-/// The (scheme, seed) jobs of a non-campaign engine: deterministic schemes
-/// once with seed 0, seeded schemes once per listed seed.
-fn scheme_jobs(spec: &ScenarioSpec) -> Vec<(SchemeSpec, u64)> {
-    let seeds: Vec<u64> = spec
-        .seeds
-        .as_list()
-        .map(<[u64]>::to_vec)
-        .unwrap_or_default();
-    let mut jobs = Vec::new();
-    for &scheme in &spec.schemes {
-        if scheme.0.is_seeded() {
-            for &seed in &seeds {
-                jobs.push((scheme, seed));
-            }
-        } else {
-            jobs.push((scheme, 0));
-        }
-    }
-    jobs
+/// The (scheme, seed) draws of an engine fed a seed list: deterministic
+/// schemes once with seed 0, seeded schemes once per seed in `seeds`.
+fn scheme_seeds(spec: &ScenarioSpec, seeds: &[u64]) -> Vec<(SchemeSpec, u64)> {
+    let algorithms: Vec<_> = spec.schemes.iter().map(|s| s.0).collect();
+    scheme_draws(&algorithms, seeds.len(), |_, i| seeds[i])
+        .into_iter()
+        .map(|(algorithm, _, seed)| (SchemeSpec(algorithm), seed))
+        .collect()
+}
+
+/// The (topology × scheme × seed) shards of a netsim-engine run,
+/// topology-major.
+fn topology_shards(
+    spec: &ScenarioSpec,
+    seeds: &[u64],
+) -> Result<Vec<(XgftSpec, SchemeSpec, u64)>, ScenarioError> {
+    let draws = scheme_seeds(spec, seeds);
+    Ok(spec
+        .topologies()?
+        .into_iter()
+        .flat_map(|topology| {
+            draws
+                .iter()
+                .map(move |&(scheme, seed)| (topology.clone(), scheme, seed))
+        })
+        .collect())
 }
 
 /// Total channel occupancy (busy time) one message of `bytes` bytes causes
@@ -699,30 +692,27 @@ fn occupancy_ps(config: &NetworkConfig, bytes: u64) -> u64 {
         .sum()
 }
 
-fn compile_for(
+/// The workload's pairs routed by `scheme` under `seed`, in the spec's
+/// representation.
+fn routes_for(
+    spec: &ScenarioSpec,
     xgft: &Xgft,
     scheme: SchemeSpec,
     seed: u64,
     pattern: &Pattern,
     flows: &[(usize, usize, u64)],
-) -> CompiledRouteTable {
-    let algo = scheme.0.instantiate(xgft, pattern, seed);
-    let pairs: Vec<(usize, usize)> = flows.iter().map(|&(s, d, _)| (s, d)).collect();
-    CompiledRouteTable::compile(xgft, algo.as_ref(), pairs)
-}
-
-/// The closed-form engine for one (scheme, seed) over the workload's pairs.
-fn compact_for(
-    xgft: &Xgft,
-    scheme: SchemeSpec,
-    seed: u64,
-    flows: &[(usize, usize, u64)],
-) -> CompactRoutes {
-    let closed_form = scheme
-        .0
-        .compact_scheme(xgft, seed)
-        .expect("validate() rejects colored under the compact representation");
-    CompactRoutes::for_pairs(xgft, closed_form, flows.iter().map(|&(s, d, _)| (s, d)))
+) -> Box<dyn RouteSource> {
+    let pairs = flows.iter().map(|&(s, d, _)| (s, d));
+    match spec.representation {
+        RepresentationSpec::Compiled => Box::new(scheme.0.compile(xgft, pattern, seed, pairs)),
+        RepresentationSpec::Compact => {
+            let closed_form = scheme
+                .0
+                .compact_scheme(xgft, seed)
+                .expect("validate() rejects colored under the compact representation");
+            Box::new(CompactRoutes::for_pairs(xgft, closed_form, pairs))
+        }
+    }
 }
 
 /// The flow list of a pattern's combined matrix: `(src, dst, bytes)`.
@@ -734,34 +724,25 @@ fn flow_list(pattern: &Pattern) -> Vec<(usize, usize, u64)> {
         .collect()
 }
 
-/// Lower a whole traffic matrix through `source` into one pre-sorted
-/// [`InjectionBatch`] (every flow at t = 0).
-fn lower_batch<R: RouteSource>(flows: &[(usize, usize, u64)], source: &R) -> InjectionBatch {
+/// Inject every flow at t = 0 through `source` into the reset simulator
+/// and run it to completion. The matrix is lowered into one pre-sorted
+/// [`InjectionBatch`] and admitted in a single `schedule_batch` call —
+/// bit-identical to the historical per-message `schedule_message_on_path`
+/// loop (pinned by a runner test).
+fn inject_and_run(
+    sim: &mut NetworkSim,
+    flows: &[(usize, usize, u64)],
+    source: &dyn RouteSource,
+) -> SimReport {
     let mut batch = InjectionBatch::with_capacity(flows.len(), 0);
     let mut scratch = Vec::new();
     for &(s, d, bytes) in flows {
         let path = source.path_in(s, d, &mut scratch).expect("routed pair");
         batch.push(0, s, d, bytes, path);
     }
-    batch
-}
-
-/// Inject every flow at t = 0 through `source` and run the event-driven
-/// simulator to completion. Shared by both route representations. The
-/// matrix is lowered into one [`InjectionBatch`] and admitted in a single
-/// `schedule_batch` call — bit-identical to the historical per-message
-/// `schedule_message_on_path` loop (pinned by a runner test).
-fn inject_and_run<R: RouteSource>(
-    xgft: &Xgft,
-    network: &NetworkConfig,
-    flows: &[(usize, usize, u64)],
-    source: &R,
-) -> (SimReport, Vec<u64>) {
-    let mut sim = NetworkSim::new(xgft, network.clone());
-    sim.schedule_batch(&lower_batch(flows, source));
-    let report = sim.run_to_completion();
-    let busy = sim.channel_busy_ps();
-    (report, busy)
+    sim.reset();
+    sim.schedule_batch(&batch);
+    sim.run_to_completion()
 }
 
 /// Exact per-instance loads from the closed-form engine, one point per
@@ -774,12 +755,13 @@ fn run_compact_flow(
     pattern: &Pattern,
 ) -> Result<CompactFlowResult, ScenarioError> {
     let mut points = Vec::new();
+    let draws = scheme_seeds(spec, spec.seeds.as_list().unwrap_or_default());
     for topo_spec in spec.topologies()? {
         let xgft = Xgft::new(topo_spec.clone())
             .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
         let traffic = TrafficMatrix::from_pattern(pattern, xgft.num_leaves());
         let bound = tree_cut_lower_bound(&xgft, &traffic).bound;
-        for (scheme, seed) in scheme_jobs(spec) {
+        for &(scheme, seed) in &draws {
             let closed_form = scheme
                 .0
                 .compact_scheme(&xgft, seed)
@@ -814,57 +796,32 @@ fn run_compact_flow(
     })
 }
 
+/// Direct injection of the whole workload, one point per (topology,
+/// scheme, listed seed), fanned out through the shard executor (points in
+/// shard order, so the payload is identical at any worker count).
 fn run_direct(spec: &ScenarioSpec, pattern: &Pattern) -> Result<DirectResult, ScenarioError> {
     let flows = flow_list(pattern);
-    // Hoist topology builds out of the shards, then fan the full
-    // (topology × scheme × seed) cross product over rayon. Each shard is
-    // self-contained (its own simulator) and the shards are collected in
-    // job order, so the points are byte-identical at any thread count.
-    let mut topologies = Vec::new();
-    for topo_spec in spec.topologies()? {
-        let xgft = Xgft::new(topo_spec.clone())
-            .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
-        topologies.push((topo_spec, xgft));
-    }
-    let jobs: Vec<(usize, SchemeSpec, u64)> = topologies
-        .iter()
-        .enumerate()
-        .flat_map(|(t, _)| {
-            scheme_jobs(spec)
-                .into_iter()
-                .map(move |(s, seed)| (t, s, seed))
-        })
-        .collect();
-    let points: Vec<DirectPoint> = jobs
-        .par_iter()
-        .map(|&(t, scheme, seed)| {
-            let (topo_spec, xgft) = &topologies[t];
-            let (report, busy) = match spec.representation {
-                RepresentationSpec::Compiled => {
-                    let table = compile_for(xgft, scheme, seed, pattern, &flows);
-                    inject_and_run(xgft, &spec.network, &flows, &table)
-                }
-                RepresentationSpec::Compact => {
-                    let routes = compact_for(xgft, scheme, seed, &flows);
-                    inject_and_run(xgft, &spec.network, &flows, &routes)
-                }
-            };
-            let max_busy = busy.into_iter().max().unwrap_or(0);
-            DirectPoint {
-                topology: topo_spec.to_string(),
-                w_top: topo_spec.w(topo_spec.height()),
-                scheme: scheme.name().to_string(),
-                seed,
-                delivered: report.completed_messages,
-                makespan_ps: report.makespan_ps,
-                max_busy_ps: max_busy,
-                max_utilization: report.max_channel_utilization,
-                p50_latency_ps: report.p50_latency_ps(),
-                p99_latency_ps: report.p99_latency_ps(),
-                max_latency_ps: report.max_latency_ps(),
-            }
-        })
-        .collect();
+    let shards = topology_shards(spec, spec.seeds.as_list().unwrap_or_default())?;
+    let points = shard::execute(&shards, &spec.network, None, |scratch, shard| {
+        let (topology, scheme, seed) = shard;
+        let machine = scratch.machine(topology);
+        let routes = routes_for(spec, machine.xgft, *scheme, *seed, pattern, &flows);
+        let report = inject_and_run(machine.sim, &flows, &*routes);
+        let max_busy = machine.sim.channel_busy_ps().into_iter().max().unwrap_or(0);
+        DirectPoint {
+            topology: topology.to_string(),
+            w_top: topology.w(topology.height()),
+            scheme: scheme.name().to_string(),
+            seed: *seed,
+            delivered: report.completed_messages,
+            makespan_ps: report.makespan_ps,
+            max_busy_ps: max_busy,
+            max_utilization: report.max_channel_utilization,
+            p50_latency_ps: report.p50_latency_ps(),
+            p99_latency_ps: report.p99_latency_ps(),
+            max_latency_ps: report.max_latency_ps(),
+        }
+    });
     Ok(DirectResult {
         name: spec.name.clone(),
         workload: pattern.name().to_string(),
@@ -876,14 +833,17 @@ const AGREEMENT_TOLERANCE: f64 = 1e-9;
 
 /// Run the three engines on one route source and compare them
 /// channel-by-channel: `(sims_identical, flow_max_rel_dev, model_mcl_ps)`.
-fn agreement_check<R: RouteSource>(
+/// Both simulations run on `sim`, reset in between.
+fn agreement_check(
     xgft: &Xgft,
+    sim: &mut NetworkSim,
     network: &NetworkConfig,
     flows: &[(usize, usize, u64)],
-    source: &R,
+    source: &dyn RouteSource,
 ) -> (bool, f64, f64) {
     // Engine 2: direct injection.
-    let (_, netsim_busy) = inject_and_run(xgft, network, flows, source);
+    inject_and_run(sim, flows, source);
+    let netsim_busy = sim.channel_busy_ps();
 
     // Engine 3: the same flows as a Send/Recv trace replay.
     let n = xgft.num_leaves();
@@ -902,11 +862,9 @@ fn agreement_check<R: RouteSource>(
         });
     }
     let trace = Trace::new("agreement", programs);
-    let mut net = RoutedNetwork::with_source(NetworkSim::new(xgft, network.clone()), source);
-    ReplayEngine::new(&trace)
-        .run(&mut net)
+    run_reusing_sim(&mut ReplayEngine::new(&trace), &mut *sim, source)
         .expect("fully-routed replay cannot deadlock");
-    let tracesim_busy = net.sim().channel_busy_ps();
+    let tracesim_busy = sim.channel_busy_ps();
 
     // Engine 1: the flow model on the same routes, with demands in
     // channel-occupancy units so loads == busy exactly.
@@ -916,7 +874,7 @@ fn agreement_check<R: RouteSource>(
             .iter()
             .map(|&(s, d, bytes)| (s, d, occupancy_ps(network, bytes) as f64)),
     );
-    let model = DegradedLoads::from_source(xgft, source, &traffic);
+    let model = DegradedLoads::from_source(xgft, &source, &traffic);
 
     let sims_identical = netsim_busy == tracesim_busy;
     let max_busy = netsim_busy.iter().copied().max().unwrap_or(0) as f64;
@@ -933,56 +891,34 @@ fn agreement_check<R: RouteSource>(
     (sims_identical, flow_max_rel_dev, model.mcl())
 }
 
+/// The three-engine agreement check, one point per (topology, scheme),
+/// fanned out through the shard executor like [`run_direct`].
 fn run_agreement(spec: &ScenarioSpec, pattern: &Pattern) -> Result<AgreementResult, ScenarioError> {
     let flows = flow_list(pattern);
-    // Same sharding shape as `run_direct`: topologies built once up front,
-    // one rayon shard per (topology, scheme), points collected in job order
-    // so the payload is identical at any thread count.
-    let mut topologies = Vec::new();
-    for topo_spec in spec.topologies()? {
-        let xgft = Xgft::new(topo_spec.clone())
-            .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
-        topologies.push((topo_spec, xgft));
-    }
-    let jobs: Vec<(usize, SchemeSpec)> = topologies
-        .iter()
-        .enumerate()
-        .flat_map(|(t, _)| spec.schemes.iter().map(move |&s| (t, s)))
-        .collect();
-    let points: Vec<AgreementPoint> = jobs
-        .par_iter()
-        .map(|&(t, scheme)| {
-            let (topo_spec, xgft) = &topologies[t];
-            // One representative instance per scheme: the agreement claim
-            // is per-instance (exact), so one seed suffices.
-            let seed = if scheme.0.is_seeded() {
-                spec.seeds
-                    .as_list()
-                    .and_then(|s| s.first().copied())
-                    .unwrap_or(1)
-            } else {
-                0
-            };
-            let (sims_identical, flow_max_rel_dev, model_mcl_ps) = match spec.representation {
-                RepresentationSpec::Compiled => {
-                    let table = compile_for(xgft, scheme, seed, pattern, &flows);
-                    agreement_check(xgft, &spec.network, &flows, &table)
-                }
-                RepresentationSpec::Compact => {
-                    let routes = compact_for(xgft, scheme, seed, &flows);
-                    agreement_check(xgft, &spec.network, &flows, &routes)
-                }
-            };
+    // One representative instance per seeded scheme: the agreement claim
+    // is per-instance (exact), so one seed suffices.
+    let seed = spec
+        .seeds
+        .as_list()
+        .and_then(|s| s.first().copied())
+        .unwrap_or(1);
+    let shards = topology_shards(spec, &[seed])?;
+    let points: Vec<AgreementPoint> =
+        shard::execute(&shards, &spec.network, None, |scratch, shard| {
+            let (topology, scheme, seed) = shard;
+            let machine = scratch.machine(topology);
+            let routes = routes_for(spec, machine.xgft, *scheme, *seed, pattern, &flows);
+            let (sims_identical, flow_max_rel_dev, model_mcl_ps) =
+                agreement_check(machine.xgft, machine.sim, &spec.network, &flows, &*routes);
             AgreementPoint {
-                topology: topo_spec.to_string(),
+                topology: topology.to_string(),
                 scheme: scheme.name().to_string(),
-                seed,
+                seed: *seed,
                 sims_identical,
                 flow_max_rel_dev,
                 model_mcl_ps,
             }
-        })
-        .collect();
+        });
     let all_agree = points
         .iter()
         .all(|p| p.sims_identical && p.flow_max_rel_dev <= AGREEMENT_TOLERANCE);
@@ -1349,5 +1285,37 @@ mod tests {
         // ResilienceConfig::shards would enumerate.
         assert!(header.contains("6 shards"), "{header}");
         assert!(header.contains("2 rates"), "{header}");
+    }
+
+    #[test]
+    fn shard_summary_counts_the_lowered_shards_of_every_example() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+        let mut kinds = Vec::new();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let spec = crate::cli::load_spec(path.to_str().unwrap()).unwrap();
+            // The CLI announces the spec that will actually run.
+            for spec in [spec.clone(), spec.quickened()] {
+                let shards = match lower(&spec).unwrap() {
+                    Lowered::Campaign(c) => c.shards().len(),
+                    Lowered::Resilience(c) => c.shards().len(),
+                    Lowered::Chaos(c) => c.shards().len(),
+                    _ => {
+                        assert!(shard_summary(&spec).is_none(), "{}", path.display());
+                        continue;
+                    }
+                };
+                let header = shard_summary(&spec).unwrap();
+                assert!(
+                    header.contains(&format!(" {shards} shards ")),
+                    "{}: {header}",
+                    path.display()
+                );
+                kinds.push(header.split(' ').nth(1).unwrap().to_string());
+            }
+        }
+        kinds.sort();
+        kinds.dedup();
+        assert_eq!(kinds, ["campaign", "chaos", "resilience"]);
     }
 }

@@ -1,12 +1,17 @@
 //! Offline stand-in for the crates.io `rayon` crate.
 //!
-//! The build container has no network access, so this shim provides the one
-//! parallel-iterator shape the workspace uses — `slice.par_iter().map(f)
-//! .collect()` — implemented with `std::thread::scope` over chunks of the
+//! The build container has no network access, so this shim provides the two
+//! parallel-iterator shapes the workspace uses — `slice.par_iter().map(f)
+//! .collect()` and `slice.par_iter().map_init(init, f).collect()` —
+//! implemented with `std::thread::scope` over contiguous chunks of the
 //! input. Unlike rayon there is no work-stealing pool: each call spawns up
-//! to `available_parallelism` scoped threads, which is the right trade-off
-//! for the sweep's coarse (topology, algorithm, seed) jobs. Result order is
-//! the input order, and worker panics propagate to the caller, both matching
+//! to `available_parallelism` scoped threads and hands each one chunk, which
+//! is the right trade-off for the workspace's coarse, evenly sized shard
+//! jobs. `map_init` calls `init`
+//! once per chunk, so each worker owns one piece of scratch state for all
+//! of its items — upstream rayon gives the weaker "at least once per split"
+//! promise, which callers must not rely on beyond reuse. Result order is the
+//! input order, and worker panics propagate to the caller, both matching
 //! rayon's semantics.
 
 #![warn(missing_docs)]
@@ -158,6 +163,23 @@ impl<'a, T: Sync> ParIter<'a, T> {
             f,
         }
     }
+
+    /// Maps every element through `f` with a mutable per-worker state built
+    /// by `init`, mirroring upstream `map_init`: each worker calls `init`
+    /// once, before its first element, and threads the value through every
+    /// element it maps. Empty input never calls `init`.
+    pub fn map_init<S, R, INIT, F>(self, init: INIT, f: F) -> MapInit<'a, T, INIT, F>
+    where
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, &'a T) -> R + Sync,
+        R: Send,
+    {
+        MapInit {
+            items: self.items,
+            init,
+            f,
+        }
+    }
 }
 
 /// A mapped parallel iterator awaiting collection.
@@ -171,29 +193,68 @@ impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
     /// Evaluates the map over all elements — in parallel when the input is
     /// large enough — and collects the results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        let n = self.items.len();
-        let workers = configured_workers().min(n.max(1));
-        if workers <= 1 {
-            return self.items.iter().map(&self.f).collect();
-        }
-        let chunk_len = n.div_ceil(workers);
         let f = &self.f;
-        let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .items
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        chunk_results.into_iter().flatten().collect()
+        fan_out(self.items, |chunk| chunk.iter().map(f).collect())
     }
+}
+
+/// A [`ParIter::map_init`] iterator awaiting collection.
+#[derive(Debug)]
+pub struct MapInit<'a, T: Sync, INIT, F> {
+    items: &'a [T],
+    init: INIT,
+    f: F,
+}
+
+impl<'a, T, S, R, INIT, F> MapInit<'a, T, INIT, F>
+where
+    T: Sync,
+    R: Send,
+    INIT: Fn() -> S + Sync,
+    F: Fn(&mut S, &'a T) -> R + Sync,
+{
+    /// Evaluates the map over all elements, one `init` state per worker,
+    /// and collects the results in input order.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        let (init, f) = (&self.init, &self.f);
+        fan_out(self.items, |chunk| {
+            let mut state = init();
+            chunk.iter().map(|item| f(&mut state, item)).collect()
+        })
+    }
+}
+
+/// Split `items` into one contiguous chunk per worker, run `per_chunk` on
+/// each (on scoped threads when there is more than one), and concatenate
+/// the chunk results in input order. A worker panic resumes on the caller.
+fn fan_out<'a, T: Sync, R: Send, C: FromIterator<R>>(
+    items: &'a [T],
+    per_chunk: impl Fn(&'a [T]) -> Vec<R> + Sync,
+) -> C {
+    let n = items.len();
+    if n == 0 {
+        return std::iter::empty().collect();
+    }
+    let workers = configured_workers().min(n);
+    if workers == 1 {
+        return per_chunk(items).into_iter().collect();
+    }
+    let chunk_len = n.div_ceil(workers);
+    let per_chunk = &per_chunk;
+    let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|chunk| scope.spawn(move || per_chunk(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    chunk_results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -249,5 +310,93 @@ mod tests {
                 .collect();
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn map_init_preserves_input_order() {
+        let items: Vec<usize> = (0..1000).collect();
+        for width in [1, 2, 3, 8] {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let out: Vec<usize> = pool.install(|| {
+                items
+                    .par_iter()
+                    .map_init(Vec::<usize>::new, |seen, &x| {
+                        seen.push(x);
+                        x * 2
+                    })
+                    .collect()
+            });
+            assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_init_builds_at_most_one_state_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<usize> = (0..64).collect();
+        for width in [1, 2, 4, 7] {
+            let inits = AtomicUsize::new(0);
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            // Every item reports which state it was mapped with; a state is
+            // reused for a whole chunk, so the ids run in contiguous blocks.
+            let ids: Vec<usize> = pool.install(|| {
+                items
+                    .par_iter()
+                    .map_init(|| inits.fetch_add(1, Ordering::SeqCst), |id, _| *id)
+                    .collect()
+            });
+            let built = inits.load(Ordering::SeqCst);
+            assert!(
+                (1..=width).contains(&built),
+                "{built} inits for {width} workers"
+            );
+            let mut blocks = ids.clone();
+            blocks.dedup();
+            assert_eq!(blocks.len(), built, "each state maps one contiguous chunk");
+        }
+    }
+
+    #[test]
+    fn map_init_worker_panics_propagate() {
+        let items: Vec<usize> = (0..64).collect();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let result = std::panic::catch_unwind(|| {
+            pool.install(|| {
+                let _: Vec<usize> = items
+                    .par_iter()
+                    .map_init(|| 0usize, |_, &x| if x == 40 { panic!("boom") } else { x })
+                    .collect();
+            })
+        });
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn map_init_handles_empty_and_single_item_inputs() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let empty: Vec<u32> = Vec::new();
+        let out: Vec<u32> = empty
+            .par_iter()
+            .map_init(|| inits.fetch_add(1, Ordering::SeqCst), |_, &x| x)
+            .collect();
+        assert!(out.is_empty());
+        assert_eq!(inits.load(Ordering::SeqCst), 0, "no items, no state");
+        let one = [7usize];
+        let out: Vec<usize> = one
+            .par_iter()
+            .map_init(|| inits.fetch_add(1, Ordering::SeqCst), |_, &x| x + 1)
+            .collect();
+        assert_eq!(out, vec![8]);
+        assert_eq!(inits.load(Ordering::SeqCst), 1);
     }
 }
